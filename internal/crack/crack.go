@@ -1,7 +1,7 @@
 // Package crack implements the in-place partitioning primitives of database
 // cracking (Idreos et al., CIDR 2007) generalized to arbitrary element types
-// via a key function. QUASII uses them to slice object arrays on one spatial
-// dimension at a time; SFCracker uses them to crack arrays of z-order codes.
+// via a key function. The shard tiler selects its STR rank cuts with
+// ThreeWay (internal/shard/partition.go).
 //
 // All operations reorganize data[lo:hi] in place, exactly like the partition
 // step of quicksort, and return the crack positions. They are deliberately
@@ -44,26 +44,6 @@ func ThreeWay[T any](data []T, lo, hi int, low, high float64, key func(*T) float
 	m1 = TwoWay(data, lo, hi, low, key)
 	m2 = TwoWay(data, m1, hi, high, key)
 	return m1, m2
-}
-
-// TwoWayInt64 is TwoWay specialized to int64 keys (z-order codes). Kept
-// separate to avoid float conversions on the hot path of SFCracker.
-func TwoWayInt64[T any](data []T, lo, hi int, pivot int64, key func(*T) int64) (mid int) {
-	i, j := lo, hi-1
-	for i <= j {
-		for i <= j && key(&data[i]) < pivot {
-			i++
-		}
-		for i <= j && key(&data[j]) >= pivot {
-			j--
-		}
-		if i < j {
-			data[i], data[j] = data[j], data[i]
-			i++
-			j--
-		}
-	}
-	return i
 }
 
 // Verify reports whether data[lo:hi) is correctly partitioned at mid with

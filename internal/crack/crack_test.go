@@ -107,22 +107,6 @@ func TestThreeWayEqualBounds(t *testing.T) {
 	}
 }
 
-func TestTwoWayInt64(t *testing.T) {
-	type entry struct{ code int64 }
-	data := []entry{{50}, {10}, {90}, {30}, {70}}
-	mid := TwoWayInt64(data, 0, len(data), 50, func(e *entry) int64 { return e.code })
-	for i := 0; i < mid; i++ {
-		if data[i].code >= 50 {
-			t.Fatalf("left band violated: %v", data)
-		}
-	}
-	for i := mid; i < len(data); i++ {
-		if data[i].code < 50 {
-			t.Fatalf("right band violated: %v", data)
-		}
-	}
-}
-
 func TestVerifyRejectsBadMid(t *testing.T) {
 	data := []float64{1, 2}
 	if Verify(data, 0, 2, 3, 1.5, keyF) {

@@ -1,12 +1,20 @@
-// STR-style spatial partitioning: the same sort-tile-recursive discipline
-// the R-tree bulk loader uses, applied once at the top to carve the dataset
-// into P contiguous tiles of near-equal cardinality.
+// STR-style spatial partitioning: the sort-tile-recursive discipline the
+// R-tree bulk loader uses, applied once at the top to carve the dataset into
+// P contiguous tiles of near-equal cardinality. STR only needs the rank cuts
+// between tiles, not a sorted run, so each level places its cuts by in-place
+// multi-rank selection (introselect) in O(n) expected time instead of
+// sorting: shard membership is exactly that of a full sort, up to ties.
 
 package shard
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
+	"repro/internal/crack"
 	"repro/internal/geom"
 )
 
@@ -14,7 +22,7 @@ import (
 // near-equal size. Tiling cuts by rank (equal object counts), not by
 // coordinate, so skewed data still yields balanced shards; fully degenerate
 // data (every representative point identical) falls back to round-robin
-// assignment, which preserves balance when tiling has nothing to sort on.
+// assignment, which preserves balance when tiling has nothing to cut on.
 // Every returned part is non-empty.
 func partition(data []geom.Object, p int) [][]geom.Object {
 	objs := make([]geom.Object, len(data))
@@ -47,7 +55,7 @@ func partition(data []geom.Object, p int) [][]geom.Object {
 func center(o *geom.Object, d int) float64 { return (o.Min[d] + o.Max[d]) / 2 }
 
 // degenerate reports whether every object shares the same representative
-// point, in which case sorting cannot spread them and tiling degrades to an
+// point, in which case rank cuts cannot spread them and tiling degrades to an
 // arbitrary split with fully overlapping shard boxes.
 func degenerate(objs []geom.Object) bool {
 	for d := 0; d < geom.Dims; d++ {
@@ -71,24 +79,67 @@ func roundRobin(objs []geom.Object, p int) [][]geom.Object {
 	return parts
 }
 
-// tile sorts objs by the dimension-d representative coordinate and cuts the
-// sorted run into k contiguous parts of near-equal size (three-index slices,
-// so parts never grow into each other).
+// tile cuts objs into k contiguous parts of near-equal size by the
+// dimension-d representative coordinate: part i holds ranks [i*n/k,
+// (i+1)*n/k) and no center in it exceeds any center in part i+1. Parts are
+// three-index slices, so they never grow into each other.
 func tile(objs []geom.Object, k, d int) [][]geom.Object {
 	if k <= 1 || len(objs) <= 1 {
 		return [][]geom.Object{objs}
 	}
-	sort.Slice(objs, func(i, j int) bool { return center(&objs[i], d) < center(&objs[j], d) })
-	if k > len(objs) {
-		k = len(objs)
-	}
-	parts := make([][]geom.Object, 0, k)
 	n := len(objs)
+	if k > n {
+		k = n
+	}
+	cuts := make([]int, k-1)
+	for i := range cuts {
+		cuts[i] = (i + 1) * n / k
+	}
+	selectRanks(objs, 0, n, cuts, d, 2*bits.Len(uint(n)))
+	parts := make([][]geom.Object, 0, k)
 	for i := 0; i < k; i++ {
 		lo, hi := i*n/k, (i+1)*n/k
 		parts = append(parts, objs[lo:hi:hi])
 	}
 	return parts
+}
+
+// selectRanks reorders objs[lo:hi] in place so that for every rank r in
+// cuts (ascending, absolute indices into objs) no dimension-d center in
+// objs[lo:r] exceeds any in objs[r:hi]. Each round partitions the window
+// three ways around a median-of-three pivot, settles every cut that lands
+// in the band equal to the pivot (runs of equal keys end there instead of
+// recursing forever), and recurses into the sides that still hold cuts.
+// When depth rounds are spent the window is sorted instead, which bounds
+// the worst case at O(n log n).
+func selectRanks(objs []geom.Object, lo, hi int, cuts []int, d, depth int) {
+	key := func(o *geom.Object) float64 { return center(o, d) }
+	for len(cuts) > 0 && hi-lo > 1 {
+		if depth == 0 {
+			slices.SortFunc(objs[lo:hi], func(a, b geom.Object) int { return cmp.Compare(key(&a), key(&b)) })
+			return
+		}
+		depth--
+		// The band [p, nextafter(p)) holds exactly the keys equal to p (it
+		// is empty only for a +Inf or NaN pivot; depth still bounds that).
+		p := pivot(objs[lo:hi], d)
+		lt, gt := crack.ThreeWay(objs, lo, hi, p, math.Nextafter(p, math.Inf(1)), key)
+		selectRanks(objs, gt, hi, cuts[sort.SearchInts(cuts, gt+1):], d, depth)
+		hi, cuts = lt, cuts[:sort.SearchInts(cuts, lt)]
+	}
+}
+
+// pivot returns the median of the dimension-d centers of the first, middle
+// and last objects.
+func pivot(objs []geom.Object, d int) float64 {
+	a, b, c := center(&objs[0], d), center(&objs[len(objs)/2], d), center(&objs[len(objs)-1], d)
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // factor3 splits p into three factors px ≥ py ≥ pz with px·py·pz = p, as

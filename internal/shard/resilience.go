@@ -189,3 +189,17 @@ func (sh *shardEntry) deleteProbe(up Updatable, id int32, hint geom.Box) (found,
 	healthy = true
 	return
 }
+
+// completeProbe finishes one sub-index's refinement under the write lock
+// with panic isolation (Complete runs it on its own goroutine per shard,
+// where an unrecovered panic would end the process).
+func (sh *shardEntry) completeProbe(c interface{ Complete() }) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.poison(r)
+		}
+	}()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	c.Complete()
+}

@@ -17,8 +17,9 @@ import (
 // and NearestNeighborer with linear scans — slow but obviously correct, so
 // the tests measure the engine's isolation behaviour, not the index.
 type bomb struct {
-	objs                                   []geom.Object
-	armQuery, armAppend, armDelete, armKNN bool
+	objs                                                []geom.Object
+	armQuery, armAppend, armDelete, armKNN, armComplete bool
+	completed                                           bool
 }
 
 func (b *bomb) Len() int { return len(b.objs) }
@@ -57,6 +58,13 @@ func (b *bomb) Delete(id int32, hint geom.Box) bool {
 
 func (b *bomb) Flush()       {}
 func (b *bomb) Pending() int { return 0 }
+
+func (b *bomb) Complete() {
+	if b.armComplete {
+		panic("bomb: complete")
+	}
+	b.completed = true
+}
 
 func (b *bomb) KNN(p geom.Point, k int) []core.Neighbor {
 	if b.armKNN {
@@ -128,6 +136,26 @@ func idSet(ids []int32) map[int32]bool {
 		m[id] = true
 	}
 	return m
+}
+
+// TestCompletePanicQuarantinesShard checks that Complete, which refines
+// every shard on its own goroutine, quarantines a sub-index that panics
+// instead of ending the process, and still completes the healthy shards.
+func TestCompletePanicQuarantinesShard(t *testing.T) {
+	ix, bombs := bombIndex(t)
+	bad, good := bombFor(t, bombs, 1), bombFor(t, bombs, 11)
+	bad.armComplete = true
+	ix.Complete()
+	if ix.Quarantined() != 1 {
+		t.Fatalf("Quarantined = %d, want 1", ix.Quarantined())
+	}
+	if !good.completed || bad.completed {
+		t.Fatalf("completed: healthy %v, panicking %v; want true, false", good.completed, bad.completed)
+	}
+	got := idSet(ix.Query(geom.BoxAt(geom.Point{50, 0, 0}, 1000), nil))
+	if len(got) != 4 || !got[11] || got[1] {
+		t.Fatalf("after quarantine got %v, want only the healthy shard's IDs 11..14", got)
+	}
 }
 
 func TestQueryPanicQuarantinesShard(t *testing.T) {

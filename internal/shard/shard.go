@@ -1,9 +1,10 @@
 // Package shard implements a sharded parallel query engine on top of the
 // single-threaded indexes of this module. The input objects are spatially
 // partitioned into P shards by STR-style tiling (sort-tile-recursive, the
-// same packing discipline the R-tree bulk loader uses), each shard gets its
-// own sub-index — QUASII by default, any constructor via Config.New — and
-// its own mutex.
+// same packing discipline the R-tree bulk loader uses, with its rank cuts
+// found by selection rather than a sort), each shard gets its own
+// sub-index — QUASII by default, any constructor via Config.New — and its
+// own mutex.
 //
 // Concurrency comes from three directions:
 //
@@ -90,7 +91,9 @@ type Config struct {
 	Workers int
 	// New constructs the sub-index over one shard's objects. The slice is
 	// owned by the sub-index (QUASII-style: it may be reorganized in
-	// place). Nil selects QUASII with SubConfig. A custom constructor must
+	// place). Nil selects QUASII with SubConfig, built for all shards
+	// concurrently. A custom constructor is called sequentially in shard
+	// order, so it may share state across calls without locking. It must
 	// tolerate an empty input slice: the engine builds the overflow shard
 	// for out-of-bounds inserts from no objects. Sub-indexes that
 	// additionally satisfy Updatable (resp. NearestNeighborer) enable
@@ -255,7 +258,9 @@ type Index struct {
 
 // New partitions data into cfg.Shards spatial shards and builds one
 // sub-index per shard. The input slice is copied; the caller keeps its
-// original order.
+// original order. The default QUASII sub-indexes are built concurrently,
+// one goroutine per shard; a custom Config.New is called sequentially in
+// shard order.
 func New(data []geom.Object, cfg Config) *Index {
 	p := cfg.Shards
 	if p < 1 {
@@ -277,8 +282,24 @@ func New(data []geom.Object, cfg Config) *Index {
 	if ix.versionHorizon == 0 {
 		ix.versionHorizon = DefaultVersionHorizon
 	}
-	for i, part := range parts {
-		sh := ix.newEntry(build(part), geom.MBB(part))
+	subs := make([]Queryable, len(parts))
+	if cfg.New != nil {
+		for i, part := range parts {
+			subs[i] = build(part)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i, part := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				subs[i] = build(part)
+			}()
+		}
+		wg.Wait()
+	}
+	for i, sub := range subs {
+		sh := ix.newEntry(sub, geom.MBB(parts[i]))
 		sh.bounds.Store(&sh.tile)
 		ix.shards[i] = sh
 		ix.tileMBB = ix.tileMBB.Extend(sh.tile)
@@ -421,18 +442,23 @@ func (ix *Index) collect(sh *shardEntry, st *Stats) int {
 }
 
 // Complete finishes all outstanding refinement in every sub-index that
-// supports it (the default QUASII sub-indexes do), shard by shard under
-// each shard's write lock. Afterwards — until the next update — every query
-// rides the shared read path, so Complete is the idle-time lever that turns
-// an adaptive engine into its fully concurrent converged form.
+// supports it (the default QUASII sub-indexes do), all shards concurrently,
+// each under its own write lock. Afterwards — until the next update — every
+// query rides the shared read path, so Complete is the idle-time lever that
+// turns an adaptive engine into its fully concurrent converged form. A
+// sub-index that panics while completing is quarantined.
 func (ix *Index) Complete() {
+	var wg sync.WaitGroup
 	ix.forEach(func(sh *shardEntry) {
 		if c, ok := sh.sub.(interface{ Complete() }); ok {
-			sh.mu.Lock()
-			c.Complete()
-			sh.mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sh.completeProbe(c)
+			}()
 		}
 	})
+	wg.Wait()
 }
 
 // CheckInvariants validates the structural invariants of every sub-index

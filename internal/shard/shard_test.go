@@ -223,6 +223,51 @@ func TestPartitionBalance(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministic pins the build contract: default sub-indexes are
+// built and completed concurrently, yet two builds of the same data agree
+// on every shard's bounds and size, the aggregate counters and every query
+// answer, with deterministic and with stochastic cracking. Run it under
+// -race to check the concurrent build and Complete.
+func TestBuildDeterministic(t *testing.T) {
+	data := dataset.Neuro(20000, 21, dataset.NeuroConfig{})
+	queries := workload.Uniform(dataset.Universe(), 200, 1e-3, 22)
+	for _, sub := range []core.Config{{}, {Stochastic: true, Seed: 9}} {
+		t.Run(fmt.Sprintf("stochastic=%v", sub.Stochastic), func(t *testing.T) {
+			build := func() *Index {
+				ix := New(data, Config{Shards: 7, SubConfig: sub})
+				ix.Complete()
+				return ix
+			}
+			a, b := build(), build()
+			if a.NumShards() != b.NumShards() {
+				t.Fatalf("NumShards %d vs %d", a.NumShards(), b.NumShards())
+			}
+			for i := 0; i < a.NumShards(); i++ {
+				if a.ShardBounds(i) != b.ShardBounds(i) {
+					t.Fatalf("shard %d bounds %v vs %v", i, a.ShardBounds(i), b.ShardBounds(i))
+				}
+				if la, lb := a.shards[i].sub.Len(), b.shards[i].sub.Len(); la != lb {
+					t.Fatalf("shard %d holds %d vs %d objects", i, la, lb)
+				}
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("Stats after Complete differ:\n%+v\n%+v", sa, sb)
+			}
+			var ra, rb []int32
+			for qi, q := range queries {
+				ra = sortedIDs(a.Query(q, ra[:0]))
+				rb = sortedIDs(b.Query(q, rb[:0]))
+				if !equalIDs(ra, rb) {
+					t.Fatalf("query %d: %d vs %d results", qi, len(ra), len(rb))
+				}
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("Stats after queries differ:\n%+v\n%+v", sa, sb)
+			}
+		})
+	}
+}
+
 func TestFactor3(t *testing.T) {
 	cases := []struct{ p, x, y, z int }{
 		{1, 1, 1, 1}, {2, 2, 1, 1}, {4, 2, 2, 1}, {8, 2, 2, 2},
