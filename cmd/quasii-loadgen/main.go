@@ -174,7 +174,8 @@ func main() {
 	}
 	if *oracle {
 		sc := quasii.NewScan(loadData())
-		cfg.Oracle = func(q geom.Box) []int32 { return sc.Query(q, nil) }
+		// Answered here, before any chaos or failover clock starts.
+		cfg.Oracle = bench.PrecomputeOracle(boxes, func(q geom.Box) []int32 { return sc.Query(q, nil) })
 	}
 
 	fmt.Printf("quasii-loadgen: %d %s queries (sel %g) against %s, %d readers, %d writers, write-every %d, oracle %v\n",

@@ -122,15 +122,15 @@ func (p *URLPool) Pick() string {
 // LoadgenResult aggregates one run.
 type LoadgenResult struct {
 	Clients      int
-	Writers      int             // dedicated writer goroutines (mixed mode)
-	Queries      int             // range queries answered 200
-	Writes       int             // insert→delete cycles completed by readers (WriteEvery)
-	WriterCycles int             // insert→delete cycles completed by dedicated writers
-	Rejected     int64           // 429 responses absorbed by retry
-	Unavailable  int64           // 503 responses absorbed by retry (degraded store, restarts)
-	Transport    int64           // transport errors absorbed by retry (RetryTransport)
-	Errors       int64           // non-retryable failures (transport, 5xx, retries exhausted)
-	Mismatches   int64           // oracle disagreements
+	Writers      int   // dedicated writer goroutines (mixed mode)
+	Queries      int   // range queries answered 200
+	Writes       int   // insert→delete cycles completed by readers (WriteEvery)
+	WriterCycles int   // insert→delete cycles completed by dedicated writers
+	Rejected     int64 // 429 responses absorbed by retry
+	Unavailable  int64 // 503 responses absorbed by retry (degraded store, restarts)
+	Transport    int64 // transport errors absorbed by retry (RetryTransport)
+	Errors       int64 // non-retryable failures (transport, 5xx, retries exhausted)
+	Mismatches   int64 // oracle disagreements
 
 	// The acked-write visibility audit (AuditVisibility): read-your-writes
 	// checks performed and the ones that failed — an acked insert a
@@ -138,8 +138,8 @@ type LoadgenResult struct {
 	// visible. Always 0 violations on a correct server.
 	AuditedWrites        int64
 	VisibilityViolations int64
-	Wall         time.Duration   // wall clock for the whole run
-	Latencies    []time.Duration // per successful range query, all clients
+	Wall                 time.Duration   // wall clock for the whole run
+	Latencies            []time.Duration // per successful range query, all clients: the answered attempt only
 }
 
 // QPS returns successful range queries per second of wall time.
@@ -183,10 +183,19 @@ func retryAfter(resp *http.Response) time.Duration {
 // backoff (1ms doubling, capped at 50ms); a 503's Retry-After hint
 // overrides the backoff when longer. It reports success.
 func (lc *loadgenClient) post(path string, body, out interface{}) bool {
+	_, ok := lc.postTimed(path, body, out)
+	return ok
+}
+
+// postTimed is post that also returns the latency of the attempt that was
+// answered, from sending it to decoding its answer: rejected attempts and
+// the backoff sleeps between them are retries, counted as such, not
+// latency.
+func (lc *loadgenClient) postTimed(path string, body, out interface{}) (time.Duration, bool) {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		lc.errors.Add(1)
-		return false
+		return 0, false
 	}
 	backoff := time.Millisecond
 	maxRetries := lc.cfg.MaxRetries
@@ -200,6 +209,7 @@ func (lc *loadgenClient) post(path string, body, out interface{}) bool {
 			// to whichever servers the pool holds now.
 			base = lc.cfg.ReadPool.Pick()
 		}
+		t0 := time.Now()
 		resp, err := lc.client.Post(base+path, "application/json", bytes.NewReader(buf))
 		if err != nil {
 			// Chaos mode: the server may be down for a restart window, so a
@@ -213,7 +223,7 @@ func (lc *loadgenClient) post(path string, body, out interface{}) bool {
 				continue
 			}
 			lc.errors.Add(1)
-			return false
+			return 0, false
 		}
 		if resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable {
@@ -230,7 +240,7 @@ func (lc *loadgenClient) post(path string, body, out interface{}) bool {
 			resp.Body.Close()
 			if attempt >= maxRetries {
 				lc.errors.Add(1)
-				return false
+				return 0, false
 			}
 			time.Sleep(wait)
 			if backoff < 50*time.Millisecond {
@@ -250,7 +260,7 @@ func (lc *loadgenClient) post(path string, body, out interface{}) bool {
 		if !ok {
 			lc.errors.Add(1)
 		}
-		return ok
+		return time.Since(t0), ok
 	}
 }
 
@@ -290,6 +300,8 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 	// index is drained exactly once.
 	nonce := int32(time.Now().UnixNano() & (1<<28 - 1))
 
+	oracle := PrecomputeOracle(cfg.Queries, cfg.Oracle)
+
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	t0 := time.Now()
@@ -312,7 +324,7 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 				default:
 				}
 				q := cfg.Queries[(i*cfg.Writers+w)%len(cfg.Queries)]
-				if lc.writeCycle(q, base+int32(i%10_000_000), cfg.Oracle, &mismatches) {
+				if lc.writeCycle(q, base+int32(i%10_000_000), oracle, &mismatches) {
 					writerCycles.Add(1)
 				}
 			}
@@ -331,17 +343,17 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 				}
 				q := cfg.Queries[qi]
 				var qresp server.QueryResponse
-				qt0 := time.Now()
-				if !lc.post("/query", server.QueryRequest{BoxJSON: server.BoxToJSON(q)}, &qresp) {
+				lat, ok := lc.postTimed("/query", server.QueryRequest{BoxJSON: server.BoxToJSON(q)}, &qresp)
+				if !ok {
 					continue
 				}
-				lats = append(lats, time.Since(qt0))
+				lats = append(lats, lat)
 				queriesOK.Add(1)
-				if cfg.Oracle != nil && !oracleMatch(qresp.IDs, cfg.Oracle(q)) {
+				if oracle != nil && !oracleMatch(qresp.IDs, oracle(q)) {
 					mismatches.Add(1)
 				}
 				if cfg.WriteEvery > 0 && qi%cfg.WriteEvery == 0 {
-					if lc.writeCycle(q, nonce+int32(qi), cfg.Oracle, &mismatches) {
+					if lc.writeCycle(q, nonce+int32(qi), oracle, &mismatches) {
 						writesOK.Add(1)
 					}
 				}
@@ -367,6 +379,30 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 	res.AuditedWrites = audited.Load()
 	res.VisibilityViolations = violations.Load()
 	return res
+}
+
+// PrecomputeOracle answers every query with oracle now and returns an
+// oracle that serves those answers from memory, falling back to oracle for
+// any other box (the write cycles' own). RunLoadgen applies it before its
+// clock starts; a harness with a clock of its own (chaos kills, failover)
+// applies it before starting that clock. Either way the oracle's scans
+// never compete with the measured run. A nil oracle stays nil.
+func PrecomputeOracle(queries []geom.Box, oracle func(geom.Box) []int32) func(geom.Box) []int32 {
+	if oracle == nil {
+		return nil
+	}
+	answers := make(map[geom.Box][]int32, len(queries))
+	for _, q := range queries {
+		if _, ok := answers[q]; !ok {
+			answers[q] = oracle(q)
+		}
+	}
+	return func(q geom.Box) []int32 {
+		if ids, ok := answers[q]; ok {
+			return ids
+		}
+		return oracle(q)
+	}
 }
 
 // writeCycle inserts a small object at the query's center, verifies

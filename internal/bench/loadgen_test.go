@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +82,48 @@ func TestLoadgenAbsorbsBackpressure(t *testing.T) {
 	}
 	if res.Mismatches != 0 {
 		t.Errorf("%d oracle mismatches", res.Mismatches)
+	}
+}
+
+// TestLoadgenLatencyExcludesBackoff: a server whose first answers are 429
+// makes the client back off before the query is answered; the recorded
+// latency covers the answered attempt only, while the rejections still
+// count as absorbed retries.
+func TestLoadgenLatencyExcludesBackoff(t *testing.T) {
+	const rejections = 6 // backoff sleeps 1+2+4+8+16+32 ms between attempts
+	const backoff = 63 * time.Millisecond
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if calls.Add(1) <= rejections {
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		json.NewEncoder(w).Encode(server.QueryResponse{IDs: []int32{7}, Count: 1})
+	}))
+	defer ts.Close()
+	var oracleCalls int
+	res := RunLoadgen(LoadgenConfig{
+		BaseURL: ts.URL,
+		Clients: 1,
+		Queries: []geom.Box{geom.BoxAt(geom.Point{1, 2, 3}, 1)},
+		Oracle: func(geom.Box) []int32 {
+			oracleCalls++
+			return []int32{7}
+		},
+	})
+	if res.Queries != 1 || res.Rejected != rejections || res.Errors != 0 || res.Mismatches != 0 {
+		t.Fatalf("queries %d, rejected %d, errors %d, mismatches %d; want 1, %d, 0, 0",
+			res.Queries, res.Rejected, res.Errors, res.Mismatches, rejections)
+	}
+	if oracleCalls != 1 {
+		t.Fatalf("oracle called %d times for one query", oracleCalls)
+	}
+	if res.Wall < backoff {
+		t.Fatalf("run took %v, less than the %v of backoff it must have slept", res.Wall, backoff)
+	}
+	if lat := res.Latencies[0]; lat >= backoff {
+		t.Fatalf("recorded latency %v includes the %v backoff", lat, backoff)
 	}
 }
 

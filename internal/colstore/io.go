@@ -61,6 +61,10 @@ func (t *Table) WriteLanes(w io.Writer) error {
 // the decoded row count so a corrupt or hostile length prefix cannot force
 // an enormous allocation: a non-negative maxRows is an inclusive ceiling
 // (0 admits only an empty table); pass a negative value for no bound.
+// Within that bound the row count is still only a claim until the bytes
+// arrive, so the first lane grows as they do and the other lanes are
+// allocated only once it is complete: a stream that stops short costs
+// memory in proportion to what it carried. On error t is left empty.
 func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -70,12 +74,24 @@ func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 	if n64 > uint64(math.MaxInt32) || (maxRows >= 0 && n64 > uint64(maxRows)) {
 		return fmt.Errorf("row count %d out of range", n64)
 	}
-	n := int(n64)
-	t.resize(n)
+	if err := t.readLanes(r, int(n64)); err != nil {
+		t.Truncate(0)
+		return err
+	}
+	return nil
+}
+
+// readLanes decodes n rows of lanes plus the checksum into t.
+func (t *Table) readLanes(r io.Reader, n int) error {
 	crc := crc32.New(crcTable)
 	tr := io.TeeReader(r, crc)
 	var buf [8 * ioChunkRows]byte
-	for d := 0; d < geom.Dims; d++ {
+	var err error
+	if t.Min[0], err = growF64Lane(tr, t.Min[0], n, buf[:]); err != nil {
+		return fmt.Errorf("reading min lane 0: %w", err)
+	}
+	t.resizeRest(n)
+	for d := 1; d < geom.Dims; d++ {
 		if err := readF64Lane(tr, t.Min[d], buf[:]); err != nil {
 			return fmt.Errorf("reading min lane %d: %w", d, err)
 		}
@@ -97,25 +113,43 @@ func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 	return nil
 }
 
-// resize sets the table to n rows, reusing lane capacity like Reload.
-func (t *Table) resize(n int) {
-	fits := cap(t.ID) >= n
-	for d := 0; d < geom.Dims && fits; d++ {
-		fits = cap(t.Min[d]) >= n && cap(t.Max[d]) >= n
-	}
-	if !fits {
-		for d := 0; d < geom.Dims; d++ {
-			t.Min[d] = make([]float64, n)
-			t.Max[d] = make([]float64, n)
+// growF64Lane reads an n-row float64 lane into lane's storage one chunk at
+// a time, doubling its capacity (capped at n) only as rows arrive, so a
+// freshly allocated lane ends with capacity exactly n.
+func growF64Lane(r io.Reader, lane []float64, n int, buf []byte) ([]float64, error) {
+	lane = lane[:0]
+	for len(lane) < n {
+		c := min(n-len(lane), ioChunkRows)
+		if len(lane)+c > cap(lane) {
+			grown := make([]float64, len(lane), min(max(2*cap(lane), len(lane)+c), n))
+			copy(grown, lane)
+			lane = grown
 		}
-		t.ID = make([]int32, n)
-		return
+		lane = lane[:len(lane)+c]
+		if err := readF64Lane(r, lane[len(lane)-c:], buf); err != nil {
+			return lane, err
+		}
+	}
+	return lane, nil
+}
+
+// resizeRest sets every lane but Min[0] to n rows, reusing a lane's
+// capacity when it is large enough.
+func (t *Table) resizeRest(n int) {
+	for d := 1; d < geom.Dims; d++ {
+		t.Min[d] = resizeLane(t.Min[d], n)
 	}
 	for d := 0; d < geom.Dims; d++ {
-		t.Min[d] = t.Min[d][:n]
-		t.Max[d] = t.Max[d][:n]
+		t.Max[d] = resizeLane(t.Max[d], n)
 	}
-	t.ID = t.ID[:n]
+	t.ID = resizeLane(t.ID, n)
+}
+
+func resizeLane[T float64 | int32](lane []T, n int) []T {
+	if cap(lane) >= n {
+		return lane[:n]
+	}
+	return make([]T, n)
 }
 
 func writeF64Lane(w io.Writer, lane []float64, buf []byte) error {

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -116,5 +117,42 @@ func TestLaneTruncationDetected(t *testing.T) {
 	var dst Table
 	if err := dst.ReadLanes(bytes.NewReader(raw[:len(raw)-5]), -1); err == nil {
 		t.Fatal("truncated lanes decoded without error")
+	}
+}
+
+// TestLaneGrowthFollowsBytes: a fresh table decodes into lanes of capacity
+// exactly n, and a stream claiming far more rows than it carries costs
+// memory in proportion to its bytes, not its claim, and leaves t empty.
+func TestLaneGrowthFollowsBytes(t *testing.T) {
+	n := 3*ioChunkRows + 17
+	src := randomTable(n, 6)
+	var buf bytes.Buffer
+	if err := src.WriteLanes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dst Table
+	if err := dst.ReadLanes(bytes.NewReader(buf.Bytes()), -1); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < geom.Dims; d++ {
+		if cap(dst.Min[d]) != n || cap(dst.Max[d]) != n {
+			t.Fatalf("lane capacities min[%d]=%d max[%d]=%d, want %d",
+				d, cap(dst.Min[d]), d, cap(dst.Max[d]), n)
+		}
+	}
+	if cap(dst.ID) != n {
+		t.Fatalf("id lane capacity %d, want %d", cap(dst.ID), n)
+	}
+
+	// Claim 20M rows, deliver the first 10 rows of one lane.
+	raw := append([]byte(nil), buf.Bytes()[:8+8*10]...)
+	binary.LittleEndian.PutUint64(raw, 20_000_000)
+	var hostile Table
+	if err := hostile.ReadLanes(bytes.NewReader(raw), -1); err == nil {
+		t.Fatal("short stream decoded without error")
+	}
+	if hostile.Len() != 0 || cap(hostile.Min[0]) > ioChunkRows || hostile.Max[0] != nil || hostile.ID != nil {
+		t.Fatalf("short stream left len %d, min[0] capacity %d, other lanes allocated: %v",
+			hostile.Len(), cap(hostile.Min[0]), hostile.ID != nil)
 	}
 }

@@ -111,6 +111,7 @@ type Stats struct {
 	ObjectsTested  int64 // objects tested for final intersection
 	ResultObjects  int64 // objects reported
 	SharedQueries  int64 // queries answered on the optimistic shared read path (see shared.go)
+	Flushes        int   // Flush calls that folded deltas into the lanes (each resets the hierarchy)
 }
 
 // slice is one node of QUASII's hierarchy. It covers data[lo:hi) and lives at

@@ -8,7 +8,9 @@
 //     adaptive index into its fully converged form.
 //   - Append/Delete/Flush: accept updates after construction; the paper
 //     assumes a static setting (Sec. 2), so arrivals are buffered, deletions
-//     tombstoned, and both merged/compacted on demand.
+//     tombstoned, and both merged into every read's answer. Reads never
+//     fold them into the lanes: only Flush does, called explicitly or
+//     after enough writes (the server's FlushEvery).
 
 package core
 
@@ -175,6 +177,7 @@ func (ix *Index) Flush() {
 	ix.root = &sliceList{slices: []*slice{initial}, maxExt: math.Inf(1)}
 	if !ix.noStats {
 		ix.stats.SlicesCreated++
+		ix.stats.Flushes++
 	}
 	// Publish the fresh base version: no deltas, new table/root generation.
 	ix.verMu.Lock()

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,5 +252,36 @@ func TestLoadRejectsCorruptStructure(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil {
 		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
+// TestLoadBoundsClaimedRows: a v2 snapshot of a few hundred bytes whose
+// header and lane block claim 20M rows must fail to load without
+// allocating memory for the claim (about 1 GiB of lanes).
+func TestLoadBoundsClaimedRows(t *testing.T) {
+	const claimed = 20_000_000
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(&snapshotV2{Cfg: Config{Tau: 60}, DataLen: claimed}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	snap.WriteString(magicV2)
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], uint64(hb.Len()))
+	snap.Write(word[:])
+	snap.Write(hb.Bytes())
+	binary.LittleEndian.PutUint64(word[:], claimed)
+	snap.Write(word[:])
+	snap.Write(make([]byte, 8*64)) // the first 64 rows of one lane, then EOF
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(snap.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%d-byte snapshot claiming %d rows loaded without error", snap.Len(), claimed)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("loading a %d-byte snapshot allocated %d MiB", snap.Len(), grew>>20)
 	}
 }

@@ -309,6 +309,146 @@ func FuzzVersionVisibility(f *testing.F) {
 	})
 }
 
+// runKNNVisibilityScript interleaves inserts, deletes, cracking queries,
+// flushes and pins with kNN probes checked against the snapshot oracle:
+// exclusive KNN — and KNNShared wherever it answers — must equal the
+// brute-force ranking of the live visible set without folding any delta,
+// and a pinned version of the current lane generation must rank exactly
+// the visible set frozen at its pin.
+func runKNNVisibilityScript(t *testing.T, seed int64, steps, tau int, assign AssignMode) {
+	rng := rand.New(rand.NewSource(seed))
+	n := rng.Intn(200) + 20
+	data := genVisObjects(rng, n, 0)
+	oracle := make(map[int32]geom.Object, n)
+	for _, o := range data {
+		oracle[o.ID] = o
+	}
+	ix := New(dataset.Clone(data), Config{Tau: tau, Assign: assign, Seed: seed})
+	nextID := int32(n)
+	type pinRec struct {
+		v    *Version
+		want map[int32]geom.Object
+	}
+	var pins []pinRec
+	randPoint := func() geom.Point {
+		var p geom.Point
+		for d := range p {
+			p[d] = rng.Float64()*1400 - 200
+		}
+		if rng.Intn(8) == 0 {
+			p[rng.Intn(geom.Dims)] += 5000 // far outside every bounding box
+		}
+		return p
+	}
+	randK := func(visible int) int {
+		if rng.Intn(6) == 0 {
+			return visible + rng.Intn(4) // k at or above the visible count
+		}
+		return rng.Intn(12) + 1
+	}
+
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 22:
+			objs := genVisObjects(rng, rng.Intn(3)+1, nextID)
+			nextID += int32(len(objs))
+			ix.AppendVersioned(objs...)
+			for _, o := range objs {
+				oracle[o.ID] = o
+			}
+		case r < 36:
+			ids := oracleAllIDs(oracle)
+			if len(ids) == 0 {
+				continue
+			}
+			id := ids[rng.Intn(len(ids))]
+			found, ok := ix.DeleteShared(id, oracle[id].Box)
+			if !ok {
+				found = ix.Delete(id, oracle[id].Box)
+			}
+			if !found {
+				t.Fatalf("step %d: live id %d not found by delete", step, id)
+			}
+			delete(oracle, id)
+		case r < 46:
+			ix.Query(randVisBox(rng), nil)
+		case r < 52:
+			ix.Flush()
+		case r < 60:
+			pins = append(pins, pinRec{ix.PinVersion(), cloneOracle(oracle)})
+		case r < 66:
+			if len(pins) == 0 {
+				continue
+			}
+			i := rng.Intn(len(pins))
+			pins[i].v.Release()
+			pins = append(pins[:i], pins[i+1:]...)
+		case r < 90:
+			p, k := randPoint(), randK(len(oracle))
+			want := bruteKNN(oracle, p, k)
+			pending, deleted, flushes := ix.Pending(), ix.Deleted(), ix.Stats().Flushes
+			if got := ix.KNN(p, k); !equalNeighbors(got, want) {
+				t.Fatalf("step %d: KNN(%v, %d) returned %d neighbors, oracle %d", step, p, k, len(got), len(want))
+			}
+			if ix.Pending() != pending || ix.Deleted() != deleted || ix.Stats().Flushes != flushes {
+				t.Fatalf("step %d: KNN folded deltas", step)
+			}
+			if got, ok := ix.KNNShared(p, k); ok && !equalNeighbors(got, want) {
+				t.Fatalf("step %d: KNNShared(%v, %d) returned %d neighbors, oracle %d", step, p, k, len(got), len(want))
+			}
+		default:
+			// A pinned version still layered over the live lanes answers the
+			// shared search against its own frozen deltas.
+			if len(pins) == 0 {
+				continue
+			}
+			pr := pins[rng.Intn(len(pins))]
+			if pr.v.table != ix.data {
+				continue // superseded generation: the live hierarchy does not describe it
+			}
+			p, k := randPoint(), randK(len(pr.want))
+			if got, ok := ix.knn(pr.v, p, k, sharedProbe); ok {
+				if want := bruteKNN(pr.want, p, k); !equalNeighbors(got, want) {
+					t.Fatalf("step %d: pinned kNN at seq %d returned %d neighbors, snapshot %d",
+						step, pr.v.Seq(), len(got), len(want))
+				}
+			}
+		}
+	}
+	for _, pr := range pins {
+		pr.v.Release()
+	}
+	if lv := ix.LiveVersions(); lv != 1 {
+		t.Fatalf("live versions after releasing all pins = %d, want 1", lv)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// FuzzKNNVisibility explores random interleavings of
+// insert/delete/pin/crack/flush steps with both kNN paths checked against
+// the snapshot oracle. Run `go test -fuzz=FuzzKNNVisibility ./internal/core`
+// to go beyond the seed corpus.
+func FuzzKNNVisibility(f *testing.F) {
+	f.Add(int64(1), 150, 8, uint8(0))
+	f.Add(int64(2), 300, 1, uint8(1))
+	f.Add(int64(3), 80, 60, uint8(2))
+	f.Add(int64(4), 250, 16, uint8(0))
+
+	f.Fuzz(func(t *testing.T, seed int64, steps, tau int, mode uint8) {
+		if steps < 0 {
+			steps = -steps
+		}
+		steps = steps%400 + 20
+		if tau < 1 {
+			tau = 1
+		}
+		tau = tau%200 + 1
+		runKNNVisibilityScript(t, seed, steps, tau, AssignMode(mode%3))
+	})
+}
+
 // TestVersionVisibilityConcurrent runs versioned writers, pinned readers
 // and an exclusive cracker/flusher under the shard-style RWMutex
 // discipline. Every write logs the sequence number its publish returned;

@@ -342,6 +342,10 @@ func (f *Follower) pollOnce() error {
 		if f.m != nil {
 			f.m.Applied.Add(applied)
 		}
+		// The leader stamps its next sequence before streaming, so records
+		// it appended meanwhile can arrive too: everything applied here is
+		// evidence of the leader's progress, and lag never reads negative.
+		f.raiseLeaderNext(st.NextSeq())
 		f.noteLag()
 		if aerr != nil {
 			// A local apply failure (e.g. the follower's own disk
@@ -368,8 +372,12 @@ func (f *Follower) noteLeaderNext(raw string) {
 	if err != nil {
 		return
 	}
-	// Monotonic max: responses can arrive reordered relative to the
-	// leader's progress.
+	f.raiseLeaderNext(v)
+}
+
+// raiseLeaderNext moves leaderNext up to v. Monotonic max: responses can
+// arrive reordered relative to the leader's progress.
+func (f *Follower) raiseLeaderNext(v uint64) {
 	for {
 		cur := f.leaderNext.Load()
 		if v <= cur || f.leaderNext.CompareAndSwap(cur, v) {

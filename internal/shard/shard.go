@@ -428,6 +428,7 @@ func (ix *Index) collect(sh *shardEntry, st *Stats) int {
 		st.Core.ObjectsTested += cs.ObjectsTested
 		st.Core.ResultObjects += cs.ResultObjects
 		st.Core.SharedQueries += cs.SharedQueries
+		st.Core.Flushes += cs.Flushes
 	}
 	if up, ok := sh.sub.(Updatable); ok {
 		st.Pending += up.Pending()

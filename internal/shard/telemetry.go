@@ -147,6 +147,9 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("quasii_core_result_objects_total",
 		"Objects reported as query results.",
 		get(func(s *scrapeSnap) float64 { return float64(s.st.Core.ResultObjects) }))
+	reg.CounterFunc("quasii_core_flushes_total",
+		"Flushes that folded pending inserts and tombstones into the lanes, each restarting refinement, summed over sub-indexes.",
+		get(func(s *scrapeSnap) float64 { return float64(s.st.Core.Flushes) }))
 	reg.CounterFunc("quasii_core_crack_epochs_total",
 		"Structural-mutation epochs summed over sub-indexes; stands still once converged.",
 		get(func(s *scrapeSnap) float64 { return float64(s.epochs) }))

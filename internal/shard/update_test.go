@@ -261,6 +261,63 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestKNNInterleavedUpdatesNoFlush interleaves Insert, Delete and KNN on
+// an unconverged sharded index: every KNN must match brute force, and no
+// KNN may fold the deltas into the lanes — no flush, and the refinement
+// the queries built (SlicesRefined) never goes backwards.
+func TestKNNInterleavedUpdatesNoFlush(t *testing.T) {
+	data := dataset.Uniform(3000, 73)
+	ix := New(data, Config{Shards: 4, SubConfig: core.Config{Tau: 16}})
+	for _, q := range workload.Uniform(dataset.Universe(), 10, 1e-3, 74) {
+		ix.Query(q, nil)
+	}
+	live := append([]geom.Object(nil), data...)
+	extra := dataset.Uniform(300, 75)
+	points := workload.Uniform(dataset.Universe(), len(extra), 1e-4, 76)
+	queries0 := ix.Stats().Core.Queries
+	refined := ix.Stats().Core.SlicesRefined
+	for i := range extra {
+		extra[i].ID = int32(600000 + i)
+		if err := ix.Insert(extra[i]); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		live = append(live, extra[i])
+		if i%3 == 0 {
+			j := (i * 7919) % len(live)
+			if ok, err := ix.Delete(live[j].ID, live[j].Box); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %v, %v", live[j].ID, ok, err)
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+		p, k := points[i].Center(), 1+i%20
+		got, err := ix.KNN(p, k)
+		if err != nil {
+			t.Fatalf("KNN: %v", err)
+		}
+		want := bruteKNN(live, p, k)
+		if len(got) != len(want) {
+			t.Fatalf("step %d: KNN(%v,%d): %d results, want %d", i, p, k, len(got), len(want))
+		}
+		for n := range got {
+			if got[n] != want[n] {
+				t.Fatalf("step %d: KNN(%v,%d)[%d] = %+v, want %+v", i, p, k, n, got[n], want[n])
+			}
+		}
+		st := ix.Stats()
+		if st.Core.Flushes != 0 || st.Pending != i+1 {
+			t.Fatalf("step %d: %d flushes and %d pending after KNN, want 0 and %d",
+				i, st.Core.Flushes, st.Pending, i+1)
+		}
+		if st.Core.SlicesRefined < refined {
+			t.Fatalf("step %d: SlicesRefined fell from %d to %d", i, refined, st.Core.SlicesRefined)
+		}
+		refined = st.Core.SlicesRefined
+	}
+	if st := ix.Stats(); st.Core.Queries == queries0 {
+		t.Fatal("no KNN probe took the exclusive path: the unconverged case was not exercised")
+	}
+}
+
 // TestNotUpdatable: custom sub-indexes without update (or KNN) support make
 // the respective operations fail with the sentinel errors.
 func TestNotUpdatable(t *testing.T) {
