@@ -2,7 +2,8 @@ package core
 
 // Microbenchmarks for the three hot kernels of the query path: the cracking
 // partition pass, the bottom-level slice scan, and end-to-end queries on a
-// fully converged index. They exist so layout changes (AoS vs SoA) and
+// fully converged index, on the exclusive (Query) and the shared
+// (QueryShared) path. They exist so layout changes (AoS vs SoA) and
 // allocation regressions are measurable in isolation; CI runs them as a
 // smoke and BENCH_PR3.json records the before/after comparison.
 
@@ -93,6 +94,50 @@ func BenchmarkQueryConvergedHeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = ix.Query(queries[i%len(queries)], out[:0])
 	}
+}
+
+// BenchmarkQuerySharedConverged is BenchmarkQueryConverged on the shared
+// read path: the walk the sharded engine serves converged regions with.
+func BenchmarkQuerySharedConverged(b *testing.B) {
+	benchQueryShared(b, newDeltaIndex(200_000, 0, 45))
+}
+
+// BenchmarkQuerySharedDeltas is BenchmarkQuerySharedConverged with 4096
+// pending inserts and 4096 tombstones on lane rows — one flush interval's
+// worth of deltas merged into every answer.
+func BenchmarkQuerySharedDeltas(b *testing.B) {
+	benchQueryShared(b, newDeltaIndex(200_000, 4096, 45))
+}
+
+func benchQueryShared(b *testing.B, ix *Index) {
+	queries := workload.Uniform(dataset.Universe(), 1024, 1e-4, 46)
+	var out []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if out, ok = ix.QueryShared(queries[i%len(queries)], out[:0]); !ok {
+			b.Fatal("shared path bailed on a completed index")
+		}
+	}
+}
+
+// newDeltaIndex returns a completed index over n uniform rows that carries
+// deltas pending inserts (IDs n and up, same distribution) and deltas
+// tombstones on lane rows.
+func newDeltaIndex(n, deltas int, seed int64) *Index {
+	data := dataset.Uniform(n, seed)
+	ix := New(dataset.Clone(data), Config{})
+	ix.Complete()
+	pending := dataset.Uniform(deltas, seed+1)
+	for i := range pending {
+		pending[i].ID += int32(n)
+	}
+	ix.Append(pending...)
+	for _, o := range data[:deltas] {
+		ix.Delete(o.ID, o.Box)
+	}
+	return ix
 }
 
 // BenchmarkQueryCrackHeavy measures the adaptive regime: a burst of queries

@@ -389,18 +389,7 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 		}
 		out = out[:w]
 	}
-	// Appended objects are unindexed until Flush; scan them linearly,
-	// skipping any that were tombstoned while still pending.
-	if len(v.pending) > 0 && !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					out = append(out, v.pending[i].ID)
-				}
-			}
-		}
-	}
-	return out
+	return v.appendVisiblePending(q, out)
 }
 
 // QueryBudgeted answers q exactly like Query but performs at most budget

@@ -107,27 +107,12 @@ func (ix *Index) Pending() int { return len(ix.live.Load().pending) }
 // Delete may refine the index around hint, so it requires the exclusive
 // lock; DeleteShared is the escalation-free variant for converged regions.
 func (ix *Index) Delete(id int32, hint geom.Box) bool {
-	cur := ix.live.Load()
-	if _, dead := cur.deleted[id]; dead {
-		return false
-	}
 	// A pending object is tombstoned exactly like an indexed one: the
 	// version's pending slice is immutable, and Flush drops tombstoned
-	// entries instead of folding them in.
-	for i := range cur.pending {
-		if cur.pending[i].ID == id && cur.pending[i].Intersects(hint) {
-			ix.deleteVersioned(id)
-			return true
-		}
-	}
-	// Locate in the indexed lanes (refines around hint as a side effect).
-	for _, pos := range ix.queryPositions(hint, nil) {
-		if ix.data.ID[pos] == id {
-			ix.deleteVersioned(id)
-			return true
-		}
-	}
-	return false
+	// entries instead of folding them in. Locating an indexed one refines
+	// the index around hint as a side effect.
+	_, found, _ := ix.deleteVia(crackingProbe, id, hint)
+	return found
 }
 
 // Deleted returns the number of tombstoned objects awaiting compaction.

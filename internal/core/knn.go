@@ -41,18 +41,26 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	return nn, true
 }
 
-// The kNN probes append the lane positions of the objects intersecting q to
-// out and report whether they could answer. crackingProbe is a range query
-// that refines the index around q; sharedProbe is read-only and bails where
-// q reaches a slice that still needs refinement. It records no heat: one
-// KNN re-walks the same slices once per expansion, which would overweight
-// them in the map.
-func crackingProbe(ix *Index, q geom.Box, out []int32) ([]int32, bool) {
+// probeFunc is a range probe over a version's lanes: it appends the lane
+// positions of v's objects intersecting q to out and reports whether it
+// could answer. kNN and delete each run one search with either probe.
+type probeFunc func(ix *Index, v *Version, q geom.Box, out []int32) ([]int32, bool)
+
+// crackingProbe is a range query that refines the index around q; v must
+// be the live version, whose lanes the exclusive path owns. sharedProbe is
+// the read-only walk over v's own hierarchy and bails where q reaches a
+// slice that still needs refinement; it records no heat, because one KNN
+// re-walks the same slices once per expansion, which would overweight them
+// in the map.
+func crackingProbe(ix *Index, _ *Version, q geom.Box, out []int32) ([]int32, bool) {
 	return ix.queryPositions(q, out), true
 }
 
-func sharedProbe(ix *Index, q geom.Box, out []int32) ([]int32, bool) {
-	return ix.queryListShared(q, ix.root, 0, out, false)
+func sharedProbe(ix *Index, v *Version, q geom.Box, out []int32) ([]int32, bool) {
+	ok := ix.walkRefined(v, q, false, func(lo, hi int) {
+		out = v.table.ScanIntersect(lo, hi, q, out)
+	})
+	return out, ok
 }
 
 // knn is the kNN search over v's view — lanes plus visible deltas — for
@@ -63,8 +71,7 @@ func sharedProbe(ix *Index, q geom.Box, out []int32) ([]int32, bool) {
 // missed (Roussopoulos et al., SIGMOD 1995). Pending objects are ranked on
 // every pass, so the result is exact whatever the probe geometry. It
 // reports false only when probe does.
-func (ix *Index) knn(v *Version, p geom.Point, k int,
-	probe func(*Index, geom.Box, []int32) ([]int32, bool)) ([]Neighbor, bool) {
+func (ix *Index) knn(v *Version, p geom.Point, k int, probe probeFunc) ([]Neighbor, bool) {
 	visible := v.table.Len() + len(v.pending) - len(v.deleted)
 	if k <= 0 || visible <= 0 {
 		return nil, true
@@ -94,7 +101,7 @@ func (ix *Index) knn(v *Version, p geom.Point, k int,
 	var pos []int32
 	var ok bool
 	for {
-		if pos, ok = probe(ix, geom.BoxAt(p, side), pos[:0]); !ok {
+		if pos, ok = probe(ix, v, geom.BoxAt(p, side), pos[:0]); !ok {
 			return nil, false
 		}
 		if len(pos) >= k || side > 2*maxSide+1 {
@@ -107,7 +114,7 @@ func (ix *Index) knn(v *Version, p geom.Point, k int,
 		// Tombstones (or a far-away p) starved the probe cube, and a
 		// partial candidate set is not necessarily the nearest one: widen
 		// to everything so the ranking is exact.
-		if pos, ok = probe(ix, span.Expand(geom.Point{1, 1, 1}), pos[:0]); !ok {
+		if pos, ok = probe(ix, v, span.Expand(geom.Point{1, 1, 1}), pos[:0]); !ok {
 			return nil, false
 		}
 		nn = rankVisible(pos, v, p, k, nn)
@@ -117,7 +124,7 @@ func (ix *Index) knn(v *Version, p geom.Point, k int,
 	}
 	// Exactness pass: the k-th candidate bounds the true kNN radius.
 	radius := math.Sqrt(nn[k-1].DistSq)
-	if pos, ok = probe(ix, geom.BoxAt(p, 2*radius+1e-9), pos[:0]); !ok {
+	if pos, ok = probe(ix, v, geom.BoxAt(p, 2*radius+1e-9), pos[:0]); !ok {
 		return nil, false
 	}
 	return rankVisible(pos, v, p, k, nn), true

@@ -2,15 +2,28 @@
 // precisely because, after enough queries, most slices are final and never
 // cracked again — so the steady state the paper celebrates is a read-mostly
 // structure that should be queried under shared access, not behind an
-// exclusive lock. The entry points below pin a version (an atomic load of
-// the MVCC head — see version.go) and walk the slice hierarchy without
-// mutating anything: no finalization, no child creation, no cracking, no
-// plain-counter stats. A query whose touched region is fully refined is
-// answered in place against the pinned version's view — lanes plus visible
-// deltas — regardless of how many appends and deletes race with it. Only a
-// slice that still needs structural work makes the walk bail out so the
-// caller can retry on the exclusive path (Query / QueryBudgeted), which
-// alone mutates the hierarchy and bumps the crack epoch.
+// exclusive lock.
+//
+// Every read-only entry point runs the same hierarchy walk, walkRefined:
+// Algorithm 1's sibling binary search, box test and descent over a
+// version's own root and table, without finalization, child creation or
+// cracking. It hands each refined bottom-level slice that intersects q to
+// a leaf kernel and reports false at the first slice that still needs
+// exclusive work (unrefined, or without children). The entry points differ
+// only in that kernel:
+//
+//   - QueryShared / queryAtVersion: ScanIntersectVisible, appending the IDs
+//     that survive the version's tombstones, plus its visible pending rows;
+//   - CountShared: CountIntersectVisible, the same filter without output;
+//   - the kNN sharedProbe and DeleteShared's locator: ScanIntersect,
+//     collecting raw lane positions that the caller filters by ID;
+//   - Converged: no kernel — it asks only whether the universe walk bails.
+//
+// A query whose touched region is fully refined is therefore answered in
+// place against the pinned version's view — lanes plus visible deltas —
+// regardless of how many appends and deletes race with it. A bail sends
+// the caller to the exclusive path (Query / QueryBudgeted), whose cracking
+// walk alone mutates the hierarchy and bumps the crack epoch.
 //
 // # Safety contract
 //
@@ -18,11 +31,11 @@
 // with version-publishing writers (Append, Delete via DeleteShared). They
 // must not run concurrently with the exclusive path — cracking queries and
 // Flush — which the sharded engine guarantees with a per-shard RWMutex.
-// The crack epoch is the belt to those suspenders: every walk records the
-// epoch first and validates it after, so even a misuse race (a structural
-// writer sneaking in between the caller's decision and the walk) is
-// detected and turned into a fallback instead of a wrong answer. Data
-// changes no longer move the epoch, so a write burst cannot evict readers.
+// The crack epoch is the belt to those suspenders: every live walk records
+// the epoch first and validates it after, so even a misuse race (a
+// structural writer sneaking in between the caller's decision and the walk)
+// is detected and turned into a fallback instead of a wrong answer. Data
+// changes do not move the epoch, so a write burst cannot evict readers.
 
 package core
 
@@ -41,32 +54,16 @@ func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // Converged reports whether a query touching the whole universe would stay
 // on the shared path: no pending inserts and every materialized slice
-// refined down to the bottom level. It is a read-only full walk — O(slices)
-// — intended for scheduling decisions, not hot loops.
+// refined down to the bottom level; an index with no lane rows qualifies
+// trivially. It is a read-only full walk — O(slices) — intended for
+// scheduling decisions, not hot loops.
 func (ix *Index) Converged() bool {
-	if len(ix.live.Load().pending) > 0 {
-		return false
-	}
-	var walk func(l *sliceList, dim int) bool
-	walk = func(l *sliceList, dim int) bool {
-		for _, s := range l.slices {
-			if !s.refined {
-				return false
-			}
-			if dim < geom.Dims-1 {
-				if s.children == nil || !walk(s.children, dim+1) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return ix.root == nil || walk(ix.root, 0)
+	v := ix.live.Load()
+	return len(v.pending) == 0 && ix.walkRefined(v, geom.UniverseBox(), false, func(int, int) {})
 }
 
 // QueryShared answers q on the shared read path: it pins the live version
-// and performs a read-only walk over the already-refined slice hierarchy,
-// merging the version's deltas (pending inserts, tombstones) in stream. On
+// and answers from it with queryAtVersion, bracketed by the crack epoch. On
 // success it appends the matching IDs to out (exactly what Query would
 // return at the pinned version) and reports true. It reports false — with
 // out unchanged — only when a touched slice still needs refinement or the
@@ -77,23 +74,9 @@ func (ix *Index) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
 	start := len(out)
 	v := ix.live.Load()
 	e := ix.epoch.Load()
-	if v.table.Len() > 0 && !q.IsEmpty() {
-		var ok bool
-		out, ok = ix.queryListVisible(q, ix.root, 0, v.deleted, out, ix.sampleHeat())
-		if !ok || ix.epoch.Load() != e {
-			return out[:start], false
-		}
-	}
-	// The version's pending objects are unindexed until Flush; scanning
-	// them linearly is read-only, so the shared path serves them too.
-	if len(v.pending) > 0 && !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					out = append(out, v.pending[i].ID)
-				}
-			}
-		}
+	out, ok := ix.queryAtVersion(v, q, ix.sampleHeat(), out)
+	if !ok || ix.epoch.Load() != e {
+		return out[:start], false
 	}
 	// Honors DisableStats like every other counter — and keeps the one
 	// shared cache line off the hot path when instrumentation is off.
@@ -103,152 +86,22 @@ func (ix *Index) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
 	return out, true
 }
 
-// queryAtVersion answers q against an arbitrary pinned version's view — the
-// harness entry point for auditing that a pinned read sees exactly the
-// writes published at or before its pin. For a current-generation version
-// it reuses the live walk; for a version whose table was superseded by a
-// Flush it walks the frozen generation the version captured. Same locking
-// contract as QueryShared.
-func (ix *Index) queryAtVersion(v *Version, q geom.Box, out []int32) ([]int32, bool) {
-	root := v.root
-	if v.table.Len() > 0 && !q.IsEmpty() && root != nil {
-		var ok bool
-		out, ok = ix.queryTableVisible(v.table, q, root, 0, v.deleted, out)
-		if !ok {
-			return out, false
-		}
+// queryAtVersion appends to out the IDs of v's visible objects intersecting
+// q: the lane rows the read-only walk reaches, minus v's tombstones, plus
+// v's visible pending objects. It is the one ID-collecting read path —
+// QueryShared runs it on the live version, the visibility harness on
+// pinned ones, including a version whose table a Flush superseded (its
+// frozen generation carries its own root). heat records sampled slice
+// touches. On a bail out is returned unchanged. Same locking contract as
+// QueryShared.
+func (ix *Index) queryAtVersion(v *Version, q geom.Box, heat bool, out []int32) ([]int32, bool) {
+	start := len(out)
+	if !ix.walkRefined(v, q, heat, func(lo, hi int) {
+		out = v.table.ScanIntersectVisible(lo, hi, q, v.deleted, out)
+	}) {
+		return out[:start], false
 	}
-	if len(v.pending) > 0 && !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					out = append(out, v.pending[i].ID)
-				}
-			}
-		}
-	}
-	return out, true
-}
-
-// queryListVisible is the read-only mirror of queryList with the version's
-// tombstone filter fused into the bottom-level scan (colstore's
-// ScanIntersectVisible appends surviving IDs directly — no position
-// translation pass). Any slice the exclusive path would have to touch —
-// finalize, give a child, or crack — aborts the walk instead. heat is
-// threaded as a parameter (not an Index field) because any number of
-// shared walks run concurrently; the only mutation a sampled walk performs
-// is the atomic touch counter, which is still "read-only" structurally.
-func (ix *Index) queryListVisible(q geom.Box, list *sliceList, dim int, del map[int32]struct{}, out []int32, heat bool) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false // needs finalization or cracking: exclusive work
-		}
-		s.touchHeat(heat)
-		if dim == geom.Dims-1 {
-			out = ix.data.ScanIntersectVisible(s.lo, s.hi, q, del, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false // lazy child creation is exclusive work
-		}
-		var ok bool
-		out, ok = ix.queryListVisible(q, s.children, dim+1, del, out, heat)
-		if !ok {
-			return out, false
-		}
-	}
-	return out, true
-}
-
-// queryTableVisible is queryListVisible against an explicit (possibly
-// superseded) table — the frozen-generation walk behind queryAtVersion and
-// SaveVersion consistency checks. It records no heat.
-func (ix *Index) queryTableVisible(t tableLike, q geom.Box, list *sliceList, dim int, del map[int32]struct{}, out []int32) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false
-		}
-		if dim == geom.Dims-1 {
-			out = t.ScanIntersectVisible(s.lo, s.hi, q, del, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false
-		}
-		var ok bool
-		out, ok = ix.queryTableVisible(t, q, s.children, dim+1, del, out)
-		if !ok {
-			return out, false
-		}
-	}
-	return out, true
-}
-
-// tableLike is the slice of the colstore API the frozen-generation walk
-// needs; it exists so the walk is explicit about touching only v.table.
-type tableLike interface {
-	ScanIntersectVisible(lo, hi int, q geom.Box, dead map[int32]struct{}, out []int32) []int32
-}
-
-// queryListShared is the position-collecting read-only walk (no tombstone
-// filtering — callers that need the raw lane positions, like the KNN
-// ranking and the shared delete locator, post-filter by ID).
-func (ix *Index) queryListShared(q geom.Box, list *sliceList, dim int, out []int32, heat bool) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false // needs finalization or cracking: exclusive work
-		}
-		s.touchHeat(heat)
-		if dim == geom.Dims-1 {
-			out = ix.data.ScanIntersect(s.lo, s.hi, q, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false // lazy child creation is exclusive work
-		}
-		var ok bool
-		out, ok = ix.queryListShared(q, s.children, dim+1, out, heat)
-		if !ok {
-			return out, false
-		}
-	}
-	return out, true
+	return v.appendVisiblePending(q, out), true
 }
 
 // CountShared counts the objects intersecting q on the shared read path,
@@ -260,12 +113,10 @@ func (ix *Index) CountShared(q geom.Box) (int, bool) {
 	v := ix.live.Load()
 	e := ix.epoch.Load()
 	n := 0
-	if v.table.Len() > 0 && !q.IsEmpty() {
-		var ok bool
-		n, ok = ix.countListShared(q, ix.root, 0, v.deleted, ix.sampleHeat())
-		if !ok || ix.epoch.Load() != e {
-			return 0, false
-		}
+	if !ix.walkRefined(v, q, ix.sampleHeat(), func(lo, hi int) {
+		n += v.table.CountIntersectVisible(lo, hi, q, v.deleted)
+	}) || ix.epoch.Load() != e {
+		return 0, false
 	}
 	if !q.IsEmpty() {
 		for i := range v.pending {
@@ -282,14 +133,30 @@ func (ix *Index) CountShared(q geom.Box) (int, bool) {
 	return n, true
 }
 
-// countListShared mirrors queryListVisible but only counts matches.
-func (ix *Index) countListShared(q geom.Box, list *sliceList, dim int, del map[int32]struct{}, heat bool) (int, bool) {
+// walkRefined is the read-only hierarchy walk: it walks v.root over
+// v.table and calls leaf once per refined bottom-level slice [lo, hi) whose
+// box intersects q. It reports false at the first intersecting slice that
+// still needs exclusive work — finalization, cracking or lazy child
+// creation — having called leaf for a prefix of the answer only. An empty
+// table or box needs no walk. heat records a sampled touch on every slice
+// the descent enters; it is a parameter, not an Index field, because any
+// number of shared walks run concurrently (the atomic touch counter is the
+// one write a walk performs).
+func (ix *Index) walkRefined(v *Version, q geom.Box, heat bool, leaf func(lo, hi int)) bool {
+	if v.table.Len() == 0 || q.IsEmpty() {
+		return true
+	}
+	return ix.walkList(v.root, 0, q, heat, leaf)
+}
+
+// walkList is walkRefined over one sibling list at level dim — the
+// read-only mirror of queryList.
+func (ix *Index) walkList(list *sliceList, dim int, q geom.Box, heat bool, leaf func(lo, hi int)) bool {
 	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
 	var i int
 	if fastPath {
 		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
 	}
-	n := 0
 	for ; i < len(list.slices); i++ {
 		s := list.slices[i]
 		if fastPath && s.box.Min[dim] > q.Max[dim] {
@@ -299,21 +166,17 @@ func (ix *Index) countListShared(q geom.Box, list *sliceList, dim int, del map[i
 			continue
 		}
 		if !s.refined {
-			return 0, false
+			return false // needs finalization or cracking: exclusive work
 		}
 		s.touchHeat(heat)
 		if dim == geom.Dims-1 {
-			n += ix.data.CountIntersectVisible(s.lo, s.hi, q, del)
+			leaf(s.lo, s.hi)
 			continue
 		}
-		if s.children == nil {
-			return 0, false
+		// A missing child list means lazy child creation: exclusive work.
+		if s.children == nil || !ix.walkList(s.children, dim+1, q, heat, leaf) {
+			return false
 		}
-		c, ok := ix.countListShared(q, s.children, dim+1, del, heat)
-		if !ok {
-			return 0, false
-		}
-		n += c
 	}
-	return n, true
+	return true
 }

@@ -81,15 +81,31 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 	ix := New(dataset.Clone(data), Config{})
 	queries := workload.Uniform(dataset.Universe(), 128, 1e-3, 4)
 
+	// Converged's contract: no pending rows, and a universe query stays on
+	// the shared path.
+	checkConverged := func(state string) {
+		t.Helper()
+		_, ok := ix.QueryShared(geom.UniverseBox(), nil)
+		if want := ix.Pending() == 0 && ok; ix.Converged() != want {
+			t.Fatalf("%s: Converged() = %v, want %v", state, !want, want)
+		}
+	}
+	checkConverged("cold")
+
 	// Cold index: any query that touches data must fall back.
 	if _, ok := ix.QueryShared(queries[0], nil); ok {
 		t.Fatal("shared path succeeded on a cold index")
 	}
+	for _, q := range queries[:8] {
+		ix.Query(q, nil)
+	}
+	checkConverged("partly refined")
 
 	ix.Complete()
 	if !ix.Converged() {
 		t.Fatal("Complete left the index unconverged")
 	}
+	checkConverged("completed")
 	sc := scan.New(dataset.Clone(data))
 	for i, q := range queries {
 		got, ok := ix.QueryShared(q, nil)
@@ -110,6 +126,7 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 	if !containsID32(got, obj.ID) {
 		t.Fatal("shared path missed a pending object")
 	}
+	checkConverged("appended")
 
 	// Tombstones filter shared results immediately.
 	if !ix.Delete(data[0].ID, data[0].Box) {
@@ -121,6 +138,37 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 	}
 	if containsID32(got, data[0].ID) {
 		t.Fatal("shared path returned a tombstoned object")
+	}
+
+	ix.Flush()
+	checkConverged("flushed")
+	ix.Complete()
+	checkConverged("flushed and completed")
+}
+
+// TestSharedReadsDoNotAllocate pins the shared path's allocation contract:
+// on a completed index carrying pending inserts and tombstones, QueryShared
+// with a pre-sized output buffer and CountShared allocate nothing.
+func TestSharedReadsDoNotAllocate(t *testing.T) {
+	ix := newDeltaIndex(50_000, 512, 79)
+	if ix.Pending() == 0 || ix.Deleted() == 0 {
+		t.Fatalf("fixture carries %d pending rows and %d tombstones, want both", ix.Pending(), ix.Deleted())
+	}
+	queries := workload.Uniform(dataset.Universe(), 64, 1e-4, 80)
+	out := make([]int32, 0, 4096)
+	avg := testing.AllocsPerRun(50, func() {
+		for _, q := range queries {
+			var ok bool
+			if out, ok = ix.QueryShared(q, out[:0]); !ok {
+				t.Fatal("QueryShared bailed on a completed index")
+			}
+			if _, ok = ix.CountShared(q); !ok {
+				t.Fatal("CountShared bailed on a completed index")
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("shared reads allocate %.1f times per %d query+count pairs, want 0", avg, len(queries))
 	}
 }
 

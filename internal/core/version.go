@@ -215,32 +215,6 @@ func (ix *Index) AppendVersioned(objs ...geom.Object) uint64 {
 	return nv.seq
 }
 
-// deleteVersioned publishes a tombstone for id onto the live version and
-// returns the publishing sequence. Caller has already established that id
-// is visible (present and not yet tombstoned). Safe under the shared lock.
-func (ix *Index) deleteVersioned(id int32) uint64 {
-	ix.verMu.Lock()
-	defer ix.verMu.Unlock()
-	cur := ix.live.Load()
-	del := make(map[int32]struct{}, len(cur.deleted)+1)
-	for k := range cur.deleted {
-		del[k] = struct{}{}
-	}
-	del[id] = struct{}{}
-	nv := &Version{
-		seq:     cur.seq + 1,
-		pending: cur.pending,
-		deleted: del,
-		maxExt:  cur.maxExt,
-		dataMBB: cur.dataMBB,
-		table:   cur.table,
-		root:    cur.root,
-		tau:     cur.tau,
-	}
-	ix.publishLocked(nv)
-	return nv.seq
-}
-
 // DeleteShared removes the object with the given ID without taking the
 // exclusive path, using hint to locate it through the read-only shared
 // walk. found reports whether a visible object carrying id intersected
@@ -256,55 +230,59 @@ func (ix *Index) DeleteShared(id int32, hint geom.Box) (found, ok bool) {
 // version that published the tombstone (0 when nothing was deleted) — the
 // visibility harness correlates it with pinned reads.
 func (ix *Index) deleteSharedSeq(id int32, hint geom.Box) (seq uint64, found, ok bool) {
-	ix.verMu.Lock()
-	cur := ix.live.Load()
-	// A pending object: tombstone it directly.
-	for i := range cur.pending {
-		if cur.pending[i].ID == id && cur.pending[i].Intersects(hint) {
-			if _, dead := cur.deleted[id]; !dead {
-				seq = ix.deleteSharedLocked(cur, id)
-				ix.verMu.Unlock()
-				return seq, true, true
-			}
-		}
-	}
-	ix.verMu.Unlock()
-	if _, dead := cur.deleted[id]; dead {
-		// Already tombstoned: invisible, nothing to delete.
-		return 0, false, true
-	}
-	if cur.table.Len() == 0 || hint.IsEmpty() {
-		return 0, false, true
-	}
-	// Locate in the indexed lanes via the read-only walk. Positions are
-	// stable for the whole call: structural reorganization needs the
-	// exclusive lock the caller's shared lock excludes.
-	pos, walkOK := ix.queryListShared(hint, ix.root, 0, nil, false)
-	if !walkOK {
-		return 0, false, false
-	}
-	for _, p := range pos {
-		if ix.data.ID[p] == id {
-			// Re-take verMu and re-check under it: a concurrent writer may
-			// have tombstoned id between the scan above and now.
-			ix.verMu.Lock()
-			cur = ix.live.Load()
-			if _, dead := cur.deleted[id]; dead {
-				ix.verMu.Unlock()
-				return 0, false, true
-			}
-			seq = ix.deleteSharedLocked(cur, id)
-			ix.verMu.Unlock()
-			return seq, true, true
-		}
-	}
-	return 0, false, true
+	return ix.deleteVia(sharedProbe, id, hint)
 }
 
-// deleteSharedLocked publishes cur's successor carrying one extra
-// tombstone and returns the publishing sequence. Caller holds verMu and
-// has verified id is visible in cur.
-func (ix *Index) deleteSharedLocked(cur *Version, id int32) uint64 {
+// deleteVia tombstones the visible object carrying id that intersects
+// hint, locating it among the live version's pending objects or, through
+// probe, in its lanes: crackingProbe for Delete, sharedProbe for
+// DeleteShared. Lane positions stay valid for the whole call: only the
+// exclusive path reorders rows, and it is either the caller (Delete) or
+// excluded by the caller's shared lock (DeleteShared). ok is false only
+// when probe bails.
+func (ix *Index) deleteVia(probe probeFunc, id int32, hint geom.Box) (seq uint64, found, ok bool) {
+	cur := ix.live.Load()
+	if _, dead := cur.deleted[id]; dead {
+		return 0, false, true // already tombstoned: invisible, nothing to delete
+	}
+	hit := false
+	for i := range cur.pending {
+		if cur.pending[i].ID == id && cur.pending[i].Intersects(hint) {
+			hit = true
+			break
+		}
+	}
+	if !hit {
+		pos, ok := probe(ix, cur, hint, nil)
+		if !ok {
+			return 0, false, false
+		}
+		for _, p := range pos {
+			if cur.table.ID[p] == id {
+				hit = true
+				break
+			}
+		}
+	}
+	if !hit {
+		return 0, false, true
+	}
+	seq = ix.publishTombstone(id)
+	return seq, seq != 0, true
+}
+
+// publishTombstone publishes the live version's successor carrying one
+// extra tombstone, for id, and returns its sequence. It is the one delete
+// publisher. Under verMu it re-checks that id is still visible and returns
+// 0, publishing nothing, if a concurrent writer tombstoned it first. Safe
+// under the shared lock.
+func (ix *Index) publishTombstone(id int32) uint64 {
+	ix.verMu.Lock()
+	defer ix.verMu.Unlock()
+	cur := ix.live.Load()
+	if _, dead := cur.deleted[id]; dead {
+		return 0
+	}
 	del := make(map[int32]struct{}, len(cur.deleted)+1)
 	for k := range cur.deleted {
 		del[k] = struct{}{}
@@ -322,4 +300,21 @@ func (ix *Index) deleteSharedLocked(cur *Version, id int32) uint64 {
 	}
 	ix.publishLocked(nv)
 	return nv.seq
+}
+
+// appendVisiblePending appends to out the IDs of v's pending objects that
+// intersect q and are not tombstoned. Pending objects are unindexed until
+// Flush, so every read scans them linearly.
+func (v *Version) appendVisiblePending(q geom.Box, out []int32) []int32 {
+	if len(v.pending) == 0 || q.IsEmpty() {
+		return out
+	}
+	for i := range v.pending {
+		if v.pending[i].Intersects(q) {
+			if _, dead := v.deleted[v.pending[i].ID]; !dead {
+				out = append(out, v.pending[i].ID)
+			}
+		}
+	}
+	return out
 }

@@ -113,7 +113,7 @@ func auditPin(t *testing.T, rng *rand.Rand, ix *Index, v *Version, want map[int3
 		t.Fatalf("step %d: pinned version seq %d sees %d ids, oracle has %d",
 			step, v.Seq(), len(got), len(wantIDs))
 	}
-	if got, ok := ix.queryAtVersion(v, geom.UniverseBox(), nil); ok {
+	if got, ok := ix.queryAtVersion(v, geom.UniverseBox(), false, nil); ok {
 		if !equalIDs(sortedIDs(got), wantIDs) {
 			t.Fatalf("step %d: pinned universe query at seq %d returned %d ids, oracle has %d",
 				step, v.Seq(), len(got), len(wantIDs))
@@ -121,7 +121,7 @@ func auditPin(t *testing.T, rng *rand.Rand, ix *Index, v *Version, want map[int3
 	}
 	for i := 0; i < 3; i++ {
 		q := randVisBox(rng)
-		got, ok := ix.queryAtVersion(v, q, nil)
+		got, ok := ix.queryAtVersion(v, q, false, nil)
 		if !ok {
 			continue // region still unrefined: the exclusive path owns it
 		}
@@ -539,7 +539,7 @@ func TestVersionVisibilityConcurrent(t *testing.T) {
 				ids := visibleIDs(v)
 				// The pinned query walk, raced against live writers, must
 				// agree with the structural set whenever it can answer.
-				if q, ok := ix.queryAtVersion(v, geom.UniverseBox(), nil); ok {
+				if q, ok := ix.queryAtVersion(v, geom.UniverseBox(), false, nil); ok {
 					if !equalIDs(sortedIDs(q), ids) {
 						t.Errorf("reader %d: pinned walk at seq %d returned %d ids, structural set has %d",
 							r, v.Seq(), len(q), len(ids))
