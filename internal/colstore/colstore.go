@@ -56,11 +56,6 @@ type Table struct {
 	Min [geom.Dims][]float64
 	Max [geom.Dims][]float64
 	ID  []int32
-
-	// scratch backs the branch-free partition kernel's misplaced-row index
-	// vectors. Grown on demand to the largest range partitioned so far and
-	// reused across cracks; never visible outside Partition.
-	scratch []int32
 }
 
 // FromObjects ingests objs into a fresh table. The input slice is not
@@ -281,23 +276,39 @@ func (t *Table) Partition(lo, hi, dim int, pivot float64, mode KeyMode) (mid int
 // two-pointer kernel instead.
 const scalarCutoff = 128
 
+// partitionBlock is the number of misplaced-row positions each side of the
+// branch-free kernel gathers before it swaps: two 1 KiB stack arrays, so the
+// kernel's memory is constant in the range size. A power of two, so masking
+// a cursor with partitionBlock-1 proves it in bounds.
+const partitionBlock = 256
+
 // partitionLower is the specialized kernel for lower-corner assignment (the
 // paper's default): the key lane IS the Min lane, so every pass streams
 // contiguous []float64 memory. Large ranges use a branch-free "fancy scan"
-// (cracking-literature style): the classic two-pointer loop exits on a
+// after Pirk et al. (DaMoN 2014): the classic two-pointer loop exits on a
 // data-dependent comparison that is a coin flip on unsorted data, so the
-// branch predictor misses every other row; instead we (1) count the left
-// band branchlessly, (2) collect the misplaced-row indices of both bands
-// with unconditional stores and flag-increment cursors, (3) swap exactly
-// the misplaced pairs across all seven lanes with no conditionals, and
-// (4) reduce the band bounds with unrolled branchless min/max passes over
-// the two now-contiguous bands.
+// branch predictor misses every other row. Instead we (1) count the left
+// band branchlessly, which fixes the split position mid, then (2) walk
+// [lo, mid) and [mid, hi) with one cursor each, gathering the positions of
+// up to partitionBlock misplaced rows per side into stack arrays with
+// unconditional stores and flag-increment counters while the staying rows
+// fold into their band's bounds, and (3) swap the min(na, nb) gathered
+// pairs across all seven lanes with no conditionals, folding the movers
+// into their destination band's bounds, carrying the unpaired rest over to
+// the next block. There is no side array in proportion to the range: the
+// kernel holds 2 KiB of stack whatever hi-lo is.
 func (t *Table) partitionLower(lo, hi, dim int, pivot float64) (mid int, left, right Bounds) {
-	key := t.Min[dim]
-	up := t.Max[dim]
 	if hi-lo <= scalarCutoff {
 		return t.partitionLowerScalar(lo, hi, dim, pivot)
 	}
+	return t.partitionLowerBlocked(lo, hi, dim, pivot)
+}
+
+// partitionLowerBlocked is the branch-free kernel described above; correct
+// for any range, it pays off above scalarCutoff.
+func (t *Table) partitionLowerBlocked(lo, hi, dim int, pivot float64) (mid int, left, right Bounds) {
+	key := t.Min[dim]
+	up := t.Max[dim]
 	// Pass 1: size the left band. The flag sum is branchless and the range
 	// loop over the key segment is bounds-check free.
 	cnt := 0
@@ -316,115 +327,108 @@ func (t *Table) partitionLower(lo, hi, dim int, pivot float64) (mid int, left, r
 		return mid, NewBounds(), bd
 	}
 
-	if cap(t.scratch) < hi-lo {
-		t.scratch = make([]int32, hi-lo)
-	}
-	posInfBits := math.Float64bits(math.Inf(1))
-	negInfBits := math.Float64bits(math.Inf(-1))
-
-	// Pass 2a over [lo, mid): collect the misplaced rows (key belongs
-	// right) with an unconditional store + flag-increment cursor, and fold
-	// the staying rows into the left band's bounds. The fold is branchless:
-	// the comparison flag widens to a bit mask that routes either the
-	// coordinate or the identity (±Inf) into the MINSD/MAXSD chain, so the
-	// loop carries no data-dependent branch; the movers' contributions are
-	// folded later, inside the swap loop, where their values are already in
-	// registers.
-	a := t.scratch[: mid-lo : mid-lo]
-	na := 0
-	lmin0, lmin1 := math.Inf(1), math.Inf(1)
-	lmax0, lmax1 := math.Inf(-1), math.Inf(-1)
-	{
-		ks := key[lo:mid]
-		us := up[lo:mid][:len(ks)]
-		o := 0
-		for ; o+1 < len(ks); o += 2 {
-			f0 := b2i(ks[o] < pivot) // 1 = stays left
-			m0 := -uint64(f0)
-			lmin0 = min(lmin0, math.Float64frombits(math.Float64bits(ks[o])&m0|posInfBits&^m0))
-			lmax0 = max(lmax0, math.Float64frombits(math.Float64bits(us[o])&m0|negInfBits&^m0))
-			a[na] = int32(lo + o)
-			na += 1 - f0
-			f1 := b2i(ks[o+1] < pivot)
-			m1 := -uint64(f1)
-			lmin1 = min(lmin1, math.Float64frombits(math.Float64bits(ks[o+1])&m1|posInfBits&^m1))
-			lmax1 = max(lmax1, math.Float64frombits(math.Float64bits(us[o+1])&m1|negInfBits&^m1))
-			a[na] = int32(lo + o + 1)
-			na += 1 - f1
-		}
-		if o < len(ks) {
-			f0 := b2i(ks[o] < pivot)
-			m0 := -uint64(f0)
-			lmin0 = min(lmin0, math.Float64frombits(math.Float64bits(ks[o])&m0|posInfBits&^m0))
-			lmax0 = max(lmax0, math.Float64frombits(math.Float64bits(us[o])&m0|negInfBits&^m0))
-			a[na] = int32(lo + o)
-			na += 1 - f0
-		}
-	}
-	lmin, lmax := min(lmin0, lmin1), max(lmax0, lmax1)
-
-	// Pass 2b over [mid, hi): collect the rows moving left and fold the
-	// staying rows into the right band's bounds, same masking scheme.
-	b := t.scratch[mid-lo : hi-lo]
-	nb := 0
-	rmin0, rmin1 := math.Inf(1), math.Inf(1)
-	rmax0, rmax1 := math.Inf(-1), math.Inf(-1)
-	{
-		ks := key[mid:hi]
-		us := up[mid:hi][:len(ks)]
-		o := 0
-		for ; o+1 < len(ks); o += 2 {
-			f0 := b2i(ks[o] < pivot) // 1 = moves left
-			m0 := -uint64(f0)
-			rmin0 = min(rmin0, math.Float64frombits(math.Float64bits(ks[o])&^m0|posInfBits&m0))
-			rmax0 = max(rmax0, math.Float64frombits(math.Float64bits(us[o])&^m0|negInfBits&m0))
-			b[nb] = int32(mid + o)
-			nb += f0
-			f1 := b2i(ks[o+1] < pivot)
-			m1 := -uint64(f1)
-			rmin1 = min(rmin1, math.Float64frombits(math.Float64bits(ks[o+1])&^m1|posInfBits&m1))
-			rmax1 = max(rmax1, math.Float64frombits(math.Float64bits(us[o+1])&^m1|negInfBits&m1))
-			b[nb] = int32(mid + o + 1)
-			nb += f1
-		}
-		if o < len(ks) {
-			f0 := b2i(ks[o] < pivot)
-			m0 := -uint64(f0)
-			rmin0 = min(rmin0, math.Float64frombits(math.Float64bits(ks[o])&^m0|posInfBits&m0))
-			rmax0 = max(rmax0, math.Float64frombits(math.Float64bits(us[o])&^m0|negInfBits&m0))
-			b[nb] = int32(mid + o)
-			nb += f0
-		}
-	}
-	rmin, rmax := min(rmin0, rmin1), max(rmax0, rmax1)
-
-	// Pass 3: swap the misplaced pairs across all seven lanes,
-	// unconditionally (the counts on both sides are equal, and any pairing
-	// works — both index sequences are monotone, so every lane's cache
-	// lines are touched in order). The movers' values are already in
-	// registers for the swap, so their contributions to the destination
-	// band's bounds fold in for free.
 	d1, d2 := otherDims(dim)
 	min1, max1 := t.Min[d1], t.Max[d1]
 	min2, max2 := t.Min[d2], t.Max[d2]
 	ids := t.ID
-	for p := 0; p < na; p++ {
-		x, y := a[p], b[p]
-		kx, ky := key[x], key[y]
-		ux, uy := up[x], up[y]
-		rmin = min(rmin, kx)
-		rmax = max(rmax, ux)
-		lmin = min(lmin, ky)
-		lmax = max(lmax, uy)
-		key[x], key[y] = ky, kx
-		up[x], up[y] = uy, ux
-		min1[x], min1[y] = min1[y], min1[x]
-		max1[x], max1[y] = max1[y], max1[x]
-		min2[x], min2[y] = min2[y], min2[x]
-		max2[x], max2[y] = max2[y], max2[x]
-		ids[x], ids[y] = ids[y], ids[x]
+	var a, b [partitionBlock]int32         // misplaced positions in [lo, mid) and [mid, hi)
+	lf, rf := newBandFold(), newBandFold() // bounds of the rows that stay left / right
+	na, nb := 0, 0
+	i, j := lo, mid
+	for i < mid || j < hi {
+		// Gather: each side scans only as many rows as it has free slots,
+		// so its counter cannot pass partitionBlock. A left row is
+		// misplaced when its key is not below the pivot (flip 1), a right
+		// row when it is (flip 0).
+		k := min(partitionBlock-na, mid-i)
+		lf, na = lf.gather(key[i:i+k], up[i:i+k], i, pivot, 1, &a, na)
+		i += k
+		k = min(partitionBlock-nb, hi-j)
+		rf, nb = rf.gather(key[j:j+k], up[j:j+k], j, pivot, 0, &b, nb)
+		j += k
+
+		// Swap the gathered pairs. Both position sequences are monotone,
+		// so every lane's cache lines are touched in order; the movers'
+		// values are already in registers, so their contributions to the
+		// destination band's bounds fold in for free.
+		m := min(na, nb)
+		for p := 0; p < m; p++ {
+			x, y := a[p], b[p]
+			kx, ky := key[x], key[y]
+			ux, uy := up[x], up[y]
+			rf.min0 = min(rf.min0, kx)
+			rf.max0 = max(rf.max0, ux)
+			lf.min0 = min(lf.min0, ky)
+			lf.max0 = max(lf.max0, uy)
+			key[x], key[y] = ky, kx
+			up[x], up[y] = uy, ux
+			min1[x], min1[y] = min1[y], min1[x]
+			max1[x], max1[y] = max1[y], max1[x]
+			min2[x], min2[y] = min2[y], min2[x]
+			max2[x], max2[y] = max2[y], max2[x]
+			ids[x], ids[y] = ids[y], ids[x]
+		}
+		// Carry the unpaired positions of the fuller side to the front.
+		// Both sides hold as many misplaced rows as the other (pass 1 fixed
+		// mid), so once both cursors are through, nothing is left over.
+		na = copy(a[:], a[m:na])
+		nb = copy(b[:], b[m:nb])
 	}
-	return mid, Bounds{Min: lmin, Max: lmax}, Bounds{Min: rmin, Max: rmax}
+	return mid, lf.bounds(), rf.bounds()
+}
+
+// bandFold accumulates one band's bounds in two independent MINSD/MAXSD
+// chains, halving the loop-carried dependency of the gather scan. It is
+// passed by value so the compiler keeps its four fields in registers.
+type bandFold struct {
+	min0, min1, max0, max1 float64
+}
+
+func newBandFold() bandFold {
+	return bandFold{min0: math.Inf(1), min1: math.Inf(1), max0: math.Inf(-1), max1: math.Inf(-1)}
+}
+
+func (f bandFold) bounds() Bounds {
+	return Bounds{Min: min(f.min0, f.min1), Max: max(f.max0, f.max1)}
+}
+
+// gather scans the rows at positions base, base+1, ... whose key and upper
+// coordinates are ks and us. A row is misplaced when (key < pivot) XOR flip
+// is 1: its position is appended to idx[n:] with an unconditional store and
+// a flag-increment counter. Every other row stays and folds into f. The
+// fold is branchless too: the flag widens to a bit mask that routes either
+// the coordinate or the identity (±Inf) into the min/max chain. The caller
+// guarantees n+len(ks) <= partitionBlock; the updated fold and count are
+// returned.
+func (f bandFold) gather(ks, us []float64, base int, pivot float64, flip int, idx *[partitionBlock]int32, n int) (bandFold, int) {
+	posInfBits := math.Float64bits(math.Inf(1))
+	negInfBits := math.Float64bits(math.Inf(-1))
+	mn0, mn1, mx0, mx1 := f.min0, f.min1, f.max0, f.max1
+	us = us[:len(ks)]
+	o := 0
+	for ; o+1 < len(ks); o += 2 {
+		f0 := b2i(ks[o] < pivot) ^ flip // 1 = misplaced
+		m0 := uint64(f0) - 1            // all ones = stays
+		mn0 = min(mn0, math.Float64frombits(math.Float64bits(ks[o])&m0|posInfBits&^m0))
+		mx0 = max(mx0, math.Float64frombits(math.Float64bits(us[o])&m0|negInfBits&^m0))
+		idx[n&(partitionBlock-1)] = int32(base + o)
+		n += f0
+		f1 := b2i(ks[o+1] < pivot) ^ flip
+		m1 := uint64(f1) - 1
+		mn1 = min(mn1, math.Float64frombits(math.Float64bits(ks[o+1])&m1|posInfBits&^m1))
+		mx1 = max(mx1, math.Float64frombits(math.Float64bits(us[o+1])&m1|negInfBits&^m1))
+		idx[n&(partitionBlock-1)] = int32(base + o + 1)
+		n += f1
+	}
+	if o < len(ks) {
+		f0 := b2i(ks[o] < pivot) ^ flip
+		m0 := uint64(f0) - 1
+		mn0 = min(mn0, math.Float64frombits(math.Float64bits(ks[o])&m0|posInfBits&^m0))
+		mx0 = max(mx0, math.Float64frombits(math.Float64bits(us[o])&m0|negInfBits&^m0))
+		idx[n&(partitionBlock-1)] = int32(base + o)
+		n += f0
+	}
+	return bandFold{min0: mn0, min1: mn1, max0: mx0, max1: mx1}, n
 }
 
 // minLane reduces the minimum of a lane segment with a halved MINSD chain.

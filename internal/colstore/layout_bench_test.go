@@ -63,7 +63,6 @@ func aosScan(data []geom.Object, q geom.Box, out []int32) []int32 {
 func benchPartitionSoA(b *testing.B, n int) {
 	objs := dataset.Uniform(n, 42)
 	t := FromObjects(objs)
-	t.Partition(0, n, 0, 5000, KeyLower) // warm the scratch buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -91,10 +91,10 @@ func (t *Table) CountIntersectVisible(lo, hi int, q geom.Box, dead map[int32]str
 	return cnt
 }
 
-// Clone returns a deep copy of the table's rows. The partition scratch is
-// not carried over. core.Flush clones before compacting whenever a pinned
-// version still references the current lanes, so the pinned reader's view
-// stays immutable while the live index rebuilds in place.
+// Clone returns a deep copy of the table's rows. core.Flush clones before
+// compacting whenever a pinned version still references the current lanes,
+// so the pinned reader's view stays immutable while the live index rebuilds
+// in place.
 func (t *Table) Clone() *Table {
 	n := t.Len()
 	c := &Table{}

@@ -26,6 +26,7 @@ import (
 	"io"
 	"math/rand"
 
+	"repro/internal/claimio"
 	"repro/internal/colstore"
 	"repro/internal/geom"
 )
@@ -188,8 +189,8 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 	if hlen > maxHeaderBytes {
 		return nil, fmt.Errorf("quasii snapshot header length %d out of range", hlen)
 	}
-	hb := make([]byte, int(hlen))
-	if _, err := io.ReadFull(br, hb); err != nil {
+	hb, err := claimio.ReadN(nil, br, int(hlen))
+	if err != nil {
 		return nil, fmt.Errorf("reading quasii snapshot header: %w", err)
 	}
 	var head snapshotV2

@@ -255,10 +255,30 @@ func TestLoadRejectsCorruptStructure(t *testing.T) {
 	}
 }
 
-// TestLoadBoundsClaimedRows: a v2 snapshot of a few hundred bytes whose
-// header and lane block claim 20M rows must fail to load without
-// allocating memory for the claim (about 1 GiB of lanes).
-func TestLoadBoundsClaimedRows(t *testing.T) {
+// TestLoadBoundsClaimedHeader: a 16-byte input, the v2 magic followed by a
+// header length of 1 GiB, must fail to load without allocating for the
+// claimed header.
+func TestLoadBoundsClaimedHeader(t *testing.T) {
+	snap := make([]byte, 0, 16)
+	snap = append(snap, magicV2...)
+	snap = binary.LittleEndian.AppendUint64(snap, maxHeaderBytes)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(snap))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%d-byte snapshot loaded without error", len(snap))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("loading a %d-byte snapshot allocated %d KiB", len(snap), grew>>10)
+	}
+}
+
+// claimedRowsSnapshot is a v2 snapshot of a few hundred bytes whose header
+// and lane block claim 20M rows (about 1 GiB of lanes) but carry only the
+// first 64 rows of one lane.
+func claimedRowsSnapshot(t testing.TB) []byte {
 	const claimed = 20_000_000
 	var hb bytes.Buffer
 	if err := gob.NewEncoder(&hb).Encode(&snapshotV2{Cfg: Config{Tau: 60}, DataLen: claimed}); err != nil {
@@ -273,15 +293,64 @@ func TestLoadBoundsClaimedRows(t *testing.T) {
 	binary.LittleEndian.PutUint64(word[:], claimed)
 	snap.Write(word[:])
 	snap.Write(make([]byte, 8*64)) // the first 64 rows of one lane, then EOF
+	return snap.Bytes()
+}
 
+// TestLoadBoundsClaimedRows: the claimedRowsSnapshot must fail to load
+// without allocating memory for the claim.
+func TestLoadBoundsClaimedRows(t *testing.T) {
+	snap := claimedRowsSnapshot(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Load(bytes.NewReader(snap.Bytes()))
+	_, err := Load(bytes.NewReader(snap))
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatalf("%d-byte snapshot claiming %d rows loaded without error", snap.Len(), claimed)
+		t.Fatalf("%d-byte snapshot claiming 20M rows loaded without error", len(snap))
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
-		t.Fatalf("loading a %d-byte snapshot allocated %d MiB", snap.Len(), grew>>20)
+		t.Fatalf("loading a %d-byte snapshot allocated %d MiB", len(snap), grew>>20)
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load: every input must either fail
+// with an error or load an index that passes CheckInvariants and answers
+// queries. The seeds are a valid snapshot (cold hierarchy, refined
+// hierarchy with pending rows and tombstones), the claimedRowsSnapshot and
+// the 16-byte header that claims a 1 GiB header block.
+func FuzzLoad(f *testing.F) {
+	data := dataset.Uniform(64, 7)
+	ix := New(data, Config{Tau: 4})
+	var cold bytes.Buffer
+	if err := ix.Save(&cold); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cold.Bytes())
+	for _, q := range workload.Uniform(dataset.Universe(), 10, 1e-1, 8) {
+		ix.Query(q, nil)
+	}
+	ix.Append(geom.Object{Box: geom.BoxAt(geom.Point{10, 20, 30}, 5), ID: 1000})
+	ix.Delete(data[3].ID, data[3].Box)
+	var refined bytes.Buffer
+	if err := ix.Save(&refined); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(refined.Bytes())
+	for _, b := range [][]byte{cold.Bytes(), refined.Bytes()} {
+		if _, err := Load(bytes.NewReader(b)); err != nil {
+			f.Fatalf("valid %d-byte seed does not load: %v", len(b), err)
+		}
+	}
+	f.Add(claimedRowsSnapshot(f))
+	f.Add(binary.LittleEndian.AppendUint64([]byte(magicV2), maxHeaderBytes))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := Load(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("Load accepted a snapshot that fails CheckInvariants: %v", err)
+		}
+		got.Query(geom.UniverseBox(), nil)
+	})
 }

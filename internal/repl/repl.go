@@ -49,6 +49,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/claimio"
 )
 
 // Endpoint paths and header names shared by leader and follower.
@@ -157,8 +159,8 @@ func ReadArchive(r io.Reader, dir string) error {
 		if size > maxArchiveFile {
 			return fmt.Errorf("%w: file size %d", ErrTornStream, size)
 		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := claimio.ReadN(nil, r, int(size))
+		if err != nil {
 			return fmt.Errorf("%w: reading %s: %v", ErrTornStream, name, err)
 		}
 		if crc32.Checksum(data, crcTable) != want {

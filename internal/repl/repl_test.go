@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -473,6 +474,34 @@ func TestArchiveRoundTrip(t *testing.T) {
 	bad[len(bad)/2] ^= 0x20
 	if err := ReadArchive(bytes.NewReader(bad), t.TempDir()); !errors.Is(err, ErrTornStream) {
 		t.Fatalf("corrupt archive: err %v, want ErrTornStream", err)
+	}
+}
+
+// TestArchiveBoundsClaimedSize: a file header claiming the largest archive
+// file (2 GiB) followed by end of stream is a torn stream, and reading it
+// allocates nothing in proportion to the claim.
+func TestArchiveBoundsClaimedSize(t *testing.T) {
+	var buf bytes.Buffer
+	var hdr [12]byte
+	putU32(hdr[:], 4)
+	buf.Write(hdr[:4])
+	io.WriteString(&buf, "snap")
+	putU32(hdr[0:], uint32(maxArchiveFile))
+	putU32(hdr[4:], uint32(maxArchiveFile>>32))
+	putU32(hdr[8:], 0)
+	buf.Write(hdr[:])
+	buf.Write(make([]byte, 100)) // the first bytes of the file, then EOF
+
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := ReadArchive(bytes.NewReader(buf.Bytes()), dir)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTornStream) {
+		t.Fatalf("err %v, want ErrTornStream", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a %d-byte archive claiming %d bytes allocated %d KiB", buf.Len(), int64(maxArchiveFile), grew>>10)
 	}
 }
 

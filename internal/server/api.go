@@ -198,8 +198,10 @@ type ReadyResponse struct {
 	Repl *ReplInfo `json:"repl,omitempty"`
 }
 
-// EndpointStats is the per-endpoint slice of /stats: request counts and the
-// latency distribution over a sliding window of recent requests.
+// EndpointStats is the per-endpoint slice of /stats: request counts since
+// boot and the latency of handled requests, the mean exact and the
+// percentiles estimated from the cumulative duration histogram that
+// /metrics exports as quasii_http_request_duration_seconds.
 type EndpointStats struct {
 	Count      int64   `json:"count"`
 	Errors     int64   `json:"errors"`

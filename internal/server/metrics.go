@@ -1,65 +1,45 @@
-// Per-endpoint request metrics: counts plus a sliding latency window whose
-// percentiles internal/stats computes on demand. A fixed-size ring keeps
-// the cost per request at one lock-protected store; /stats pays the sort.
+// Per-endpoint request metrics for /stats. They are read from the same
+// registry series /metrics renders, so the two endpoints cannot disagree
+// and a request pays only the registry's lock-free atomic updates.
 
 package server
 
 import (
-	"sync"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
-// latencyWindow is the number of recent samples the percentiles cover.
-const latencyWindow = 2048
-
-// endpointMetrics tracks one endpoint.
-type endpointMetrics struct {
-	mu       sync.Mutex
-	count    int64
-	errors   int64
-	rejected int64
-	ring     [latencyWindow]time.Duration
-	filled   int
-	next     int
-}
-
-// observe records one served request.
-func (m *endpointMetrics) observe(d time.Duration, isError bool) {
-	m.mu.Lock()
-	m.count++
-	if isError {
-		m.errors++
-	}
-	m.ring[m.next] = d
-	m.next = (m.next + 1) % latencyWindow
-	if m.filled < latencyWindow {
-		m.filled++
-	}
-	m.mu.Unlock()
-}
-
-// reject records one 429.
-func (m *endpointMetrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
+// endpointSeries holds one endpoint's registry series.
+type endpointSeries struct {
+	dur      *telemetry.Histogram // handled requests (admission rejects excluded)
+	errors   *telemetry.Counter
+	rejected *telemetry.Counter
 }
 
 // snapshot computes the endpoint's stats; uptime turns the cumulative count
-// into a rate.
-func (m *endpointMetrics) snapshot(uptime time.Duration) EndpointStats {
-	m.mu.Lock()
-	window := append([]time.Duration(nil), m.ring[:m.filled]...)
-	s := EndpointStats{Count: m.count, Errors: m.errors, Rejected: m.rejected}
-	m.mu.Unlock()
+// into a rate. The percentiles are estimated from the cumulative duration
+// histogram since boot.
+func (m endpointSeries) snapshot(uptime time.Duration) EndpointStats {
+	s := EndpointStats{Count: m.dur.Count(), Errors: m.errors.Value(), Rejected: m.rejected.Value()}
+	if s.Count == 0 {
+		return s
+	}
 	if uptime > 0 {
 		s.RatePerSec = float64(s.Count) / uptime.Seconds()
 	}
-	s.MeanMicros = stats.Mean(window).Microseconds()
-	s.P50Micros = stats.Percentile(window, 50).Microseconds()
-	s.P95Micros = stats.Percentile(window, 95).Microseconds()
-	s.P99Micros = stats.Percentile(window, 99).Microseconds()
+	s.MeanMicros = micros(m.dur.Sum() / float64(s.Count))
+	s.P50Micros = quantileMicros(m.dur, 0.50)
+	s.P95Micros = quantileMicros(m.dur, 0.95)
+	s.P99Micros = quantileMicros(m.dur, 0.99)
 	return s
 }
+
+// quantileMicros estimates quantile q of h in whole microseconds.
+func quantileMicros(h *telemetry.Histogram, q float64) int64 {
+	v, _ := h.Quantile(q)
+	return micros(v)
+}
+
+// micros converts seconds to whole microseconds.
+func micros(sec float64) int64 { return int64(sec * 1e6) }

@@ -236,7 +236,7 @@ type Server struct {
 	cfg     Config
 	adm     *admission
 	bat     *batcher
-	met     map[string]*endpointMetrics
+	met     map[string]endpointSeries
 	mux     *http.ServeMux
 	start   time.Time
 	updates atomic.Int64 // accepted update objects since the last auto-flush
@@ -280,7 +280,7 @@ func New(ix *shard.Index, cfg Config) *Server {
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.ExecSlots)
 	s.bat = newBatcher(ix, s.adm, cfg.BatchWindow, cfg.BatchLimit)
 	s.instrument()
-	s.met = make(map[string]*endpointMetrics)
+	s.met = make(map[string]endpointSeries)
 	s.mux = http.NewServeMux()
 	s.route("/query", true, []string{http.MethodPost, http.MethodGet}, s.handleQuery)
 	s.route("/batch", true, []string{http.MethodPost}, s.handleBatch)
@@ -456,12 +456,10 @@ func (w *statusWriter) WriteHeader(status int) {
 }
 
 // route registers one endpoint behind method filtering, optional admission
-// control, and latency metrics (both the /stats ring-buffer percentiles and
-// the /metrics registry series).
+// control, and latency metrics: registry series that /metrics renders and
+// /stats summarizes.
 func (s *Server) route(path string, admit bool, methods []string, h http.HandlerFunc) {
 	name := strings.TrimPrefix(path, "/")
-	m := &endpointMetrics{}
-	s.met[name] = m
 	lbl := telemetry.L("endpoint", name)
 	mReq := s.reg.Counter("quasii_http_requests_total",
 		"Requests received, by endpoint (method-filtered; includes rejects).", lbl)
@@ -472,6 +470,7 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 	mDur := s.reg.Histogram("quasii_http_request_duration_seconds",
 		"Wall time of handled requests (admission rejects excluded), by endpoint.",
 		telemetry.DurationBuckets, lbl)
+	s.met[name] = endpointSeries{dur: mDur, errors: mErr, rejected: mRej}
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		allowed := false
 		for _, meth := range methods {
@@ -488,7 +487,6 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 		mReq.Inc()
 		if admit {
 			if !s.adm.admit() {
-				m.reject()
 				mRej.Inc()
 				w.Header().Set("Retry-After", "1")
 				writeJSON(w, http.StatusTooManyRequests,
@@ -501,7 +499,6 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		d := time.Since(t0)
-		m.observe(d, sw.status >= 400)
 		mDur.ObserveDuration(d)
 		if sw.status >= 400 {
 			mErr.Inc()

@@ -114,6 +114,62 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsEndpointsFromRegistry: /stats summarizes the registry series
+// /metrics renders, so its counts equal the scraped counters and its
+// percentiles equal the scrape's histogram quantiles.
+func TestStatsEndpointsFromRegistry(t *testing.T) {
+	data := dataset.Uniform(2000, 141)
+	ts, _ := newTestServer(t, data, Config{BatchWindow: -1})
+	client := ts.Client()
+	for _, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 142) {
+		var qr QueryResponse
+		if code := call(t, client, http.MethodPost, ts.URL+"/query",
+			QueryRequest{BoxJSON: BoxToJSON(q)}, &qr); code != http.StatusOK {
+			t.Fatalf("query: %d", code)
+		}
+	}
+	resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed query: status %d, want 400", resp.StatusCode)
+	}
+
+	var st StatsResponse
+	if code := call(t, client, http.MethodGet, ts.URL+"/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("/stats: %d", code)
+	}
+	sc := scrape(t, client, ts.URL)
+	lbl := map[string]string{"endpoint": "query"}
+	got := st.Endpoints["query"]
+	if got.Count != 41 || float64(got.Count) != mustValue(t, sc, "quasii_http_request_duration_seconds_count", lbl) {
+		t.Fatalf("/stats query count = %d, want 41 and equal to the duration histogram count", got.Count)
+	}
+	if got.Errors != 1 || float64(got.Errors) != mustValue(t, sc, "quasii_http_errors_total", lbl) {
+		t.Fatalf("/stats query errors = %d, want 1 and equal to quasii_http_errors_total", got.Errors)
+	}
+	if float64(got.Rejected) != mustValue(t, sc, "quasii_http_rejected_endpoint_total", lbl) {
+		t.Fatalf("/stats query rejected = %d, differs from quasii_http_rejected_endpoint_total", got.Rejected)
+	}
+	for _, p := range []struct {
+		q   float64
+		got int64
+	}{{0.50, got.P50Micros}, {0.95, got.P95Micros}, {0.99, got.P99Micros}} {
+		v, ok := sc.HistogramQuantile("quasii_http_request_duration_seconds", lbl, p.q)
+		if !ok || p.got != int64(v*1e6) {
+			t.Fatalf("/stats p%g = %d us, scrape estimates %g s", 100*p.q, p.got, v)
+		}
+	}
+	if got.P50Micros <= 0 || got.P50Micros > got.P95Micros || got.P95Micros > got.P99Micros {
+		t.Fatalf("/stats percentiles not ordered: %+v", got)
+	}
+	if got.MeanMicros <= 0 {
+		t.Fatalf("/stats mean = %d us, want > 0", got.MeanMicros)
+	}
+}
+
 // TestMetricsCountersMonotonic scrapes concurrently with load and asserts
 // every counter is non-decreasing between consecutive scrapes.
 func TestMetricsCountersMonotonic(t *testing.T) {

@@ -249,10 +249,9 @@ func matchLabels(have, want map[string]string) bool {
 }
 
 // HistogramQuantile estimates quantile q (0..1) from the rendered
-// <name>_bucket series carrying the given non-le labels, using linear
-// interpolation within the bucket that holds the target rank — the same
-// estimate promql's histogram_quantile computes. ok is false when the
-// histogram is absent or empty.
+// <name>_bucket series carrying the given non-le labels, with the same
+// estimator as Histogram.Quantile (see bucketQuantile). ok is false when
+// the histogram is absent or empty.
 func (sc *Scrape) HistogramQuantile(name string, labels map[string]string, q float64) (float64, bool) {
 	type bucket struct {
 		le    float64
@@ -269,38 +268,48 @@ func (sc *Scrape) HistogramQuantile(name string, labels map[string]string, q flo
 		}
 		buckets = append(buckets, bucket{le: le, count: s.Value})
 	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].count
-	if total == 0 {
+	les := make([]float64, len(buckets))
+	cum := make([]float64, len(buckets))
+	for i, b := range buckets {
+		les[i], cum[i] = b.le, b.count
+	}
+	return bucketQuantile(les, cum, q)
+}
+
+// bucketQuantile estimates quantile q (0..1) of a cumulative histogram:
+// cum[i] observations lie at or below the upper bound les[i], bounds
+// ascending. It interpolates linearly within the bucket that holds the
+// target rank, the estimate promql's histogram_quantile computes. A rank in
+// a trailing +Inf bucket reports the highest finite bound. ok is false when
+// the histogram is empty.
+func bucketQuantile(les, cum []float64, q float64) (float64, bool) {
+	n := len(les)
+	if n == 0 || cum[n-1] == 0 {
 		return 0, false
 	}
-	rank := q * total
-	for i, b := range buckets {
-		if b.count < rank {
+	rank := q * cum[n-1]
+	for i, c := range cum {
+		if c < rank {
 			continue
 		}
-		if i == len(buckets)-1 && math.IsInf(b.le, 1) {
-			// Rank lands in the overflow bucket: the best point estimate
-			// is the highest finite bound.
+		if i == n-1 && math.IsInf(les[i], 1) {
 			if i == 0 {
 				return 0, false
 			}
-			return buckets[i-1].le, true
+			return les[i-1], true
 		}
 		lower, lowerCount := 0.0, 0.0
 		if i > 0 {
-			lower, lowerCount = buckets[i-1].le, buckets[i-1].count
+			lower, lowerCount = les[i-1], cum[i-1]
 		}
-		width := b.count - lowerCount
+		width := c - lowerCount
 		if width <= 0 {
-			return b.le, true
+			return les[i], true
 		}
-		return lower + (b.le-lower)*(rank-lowerCount)/width, true
+		return lower + (les[i]-lower)*(rank-lowerCount)/width, true
 	}
-	return buckets[len(buckets)-1].le, true
+	return les[n-1], true
 }
 
 func parseLE(s string) (float64, error) {

@@ -181,6 +181,26 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// Quantile estimates quantile q (0..1) of every value observed since the
+// histogram was created, interpolating within the bucket that holds the
+// target rank — the same estimator Scrape.HistogramQuantile applies to a
+// rendered histogram. ok is false when nothing was observed (or h is nil).
+func (h *Histogram) Quantile(q float64) (float64, bool) {
+	if h == nil {
+		return 0, false
+	}
+	// One pass turns the per-bucket counts into a cumulative snapshot, so
+	// the estimate sees a monotone histogram under concurrent Observe.
+	les := append(append(make([]float64, 0, len(h.counts)), h.bounds...), math.Inf(1))
+	cum := make([]float64, len(h.counts))
+	var run int64
+	for i := range h.counts {
+		run += h.counts[i].Load()
+		cum[i] = float64(run)
+	}
+	return bucketQuantile(les, cum, q)
+}
+
 // DurationBuckets is the default latency histogram layout: 10µs to 2.5s in
 // a 1-2.5-5 progression, wide enough for a cold crack-heavy query and fine
 // enough to resolve a converged sub-100µs one.

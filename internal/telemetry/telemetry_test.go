@@ -213,6 +213,44 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileOneEstimator: Histogram.Quantile on the live
+// histogram and Scrape.HistogramQuantile on its rendering are one estimator
+// and agree exactly, overflow bucket included.
+func TestHistogramQuantileOneEstimator(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("quasii_test_q_seconds", "q", []float64{0.01, 0.1, 1})
+	if _, ok := h.Quantile(0.5); ok {
+		t.Fatal("Quantile of an empty histogram reported ok")
+	}
+	if _, ok := (*Histogram)(nil).Quantile(0.5); ok {
+		t.Fatal("Quantile of a nil histogram reported ok")
+	}
+	for i, v := range []float64{0.001, 0.004, 0.02, 0.05, 0.07, 0.3, 0.9, 5} {
+		for k := 0; k <= i; k++ {
+			h.Observe(v)
+		}
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ParseText(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
+		got, gotOK := h.Quantile(q)
+		want, wantOK := sc.HistogramQuantile("quasii_test_q_seconds", nil, q)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("q=%g: Histogram.Quantile = (%g, %v), Scrape.HistogramQuantile = (%g, %v)",
+				q, got, gotOK, want, wantOK)
+		}
+	}
+	if p99, _ := h.Quantile(0.99); p99 != 1 {
+		t.Fatalf("p99 in the overflow bucket = %g, want the highest finite bound 1", p99)
+	}
+}
+
 // TestConcurrentHotPath is the -race stress on the registry hot path:
 // counters, gauges, and histograms hammered from many goroutines while a
 // scraper renders concurrently. Verifies both race-freedom and that no

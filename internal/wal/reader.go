@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/claimio"
 	"repro/internal/faultfs"
 )
 
@@ -56,13 +57,8 @@ func (r *Reader) Next() (frame []byte, ok bool, err error) {
 	if plen == 0 || plen > maxPayload {
 		return nil, false, nil
 	}
-	need := 8 + int(plen)
-	if cap(r.buf) < need {
-		r.buf = make([]byte, need)
-	}
-	r.buf = r.buf[:need]
-	copy(r.buf, hdr[:])
-	if _, err := io.ReadFull(r.br, r.buf[8:]); err != nil {
+	r.buf, err = claimio.ReadN(append(r.buf[:0], hdr[:]...), r.br, int(plen))
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, false, nil
 		}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/claimio"
 	"repro/internal/faultfs"
 	"repro/internal/geom"
 	"repro/internal/telemetry"
@@ -480,8 +481,8 @@ func readRecordRaw(br *bufio.Reader, rec *Record, decode bool) (bool, error) {
 	if plen == 0 || plen > maxPayload {
 		return false, nil // nonsense length: corrupt tail
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := claimio.ReadN(nil, br, int(plen))
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return false, nil // torn payload
 		}

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 
@@ -302,4 +304,65 @@ func TestCorruptLengthFieldBounded(t *testing.T) {
 	if truncated != offsets[1]-offsets[0] {
 		t.Fatalf("TruncatedBytes = %d, want %d", truncated, offsets[1]-offsets[0])
 	}
+}
+
+// TestTornFrameHeaderBoundsClaim: a torn tail whose 8-byte frame header
+// claims the largest payload (1 GiB) but carries a few bytes must end
+// replay, tailing and stream decoding cleanly without allocating for the
+// claim.
+func TestTornFrameHeaderBoundsClaim(t *testing.T) {
+	path, _ := writeRecords(t, 2)
+	var tail [8 + 24]byte
+	binary.LittleEndian.PutUint32(tail[0:], maxPayload)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bounded := func(what string, run func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s over a frame claiming %d bytes allocated %d KiB", what, maxPayload, grew>>10)
+		}
+	}
+	bounded("stream decoding", func() {
+		d := NewStreamDecoder(bytes.NewReader(data))
+		var rec Record
+		for i := 0; i < 3; i++ {
+			ok, err := d.Next(&rec)
+			if err != nil || ok != (i < 2) {
+				t.Fatalf("record %d: ok %v err %v, want ok %v", i, ok, err, i < 2)
+			}
+		}
+	})
+	bounded("tailing", func() {
+		r, err := OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if n, err := r.Skip(3); err != nil || n != 2 {
+			t.Fatalf("Skip(3) = %d, %v; want 2 intact frames", n, err)
+		}
+	})
+	bounded("replay", func() {
+		ids, truncated := replayIDs(t, path)
+		if len(ids) != 2 || truncated != int64(len(tail)) {
+			t.Fatalf("replayed %v, truncated %d; want 2 records and %d bytes", ids, truncated, len(tail))
+		}
+	})
 }
